@@ -3,8 +3,8 @@
 One invocation processes one problem file.  Exit codes: 0 when the problem
 was decided (alternative resolved, certificate valid, solve converged),
 2 for indeterminate or suspected-only verdicts, 1 for schema, dimension,
-or numeric errors (reported as a machine-readable error object, never a
-stack trace).  Output floats carry 17 significant digits and identical
+numeric or internal errors (reported as a machine-readable error object,
+never a stack trace).  Output floats carry 17 significant digits and identical
 inputs produce identical bytes.
 """
 
@@ -545,6 +545,10 @@ def main(argv=None) -> int:
     except GordanKitError as exc:
         payload = dumps({"error": {"code": "E_NUMERIC", "message": str(exc)}}) + "\n"
         sys.stdout.write(payload)
+        return EXIT_ERROR
+    except Exception as exc:  # the last boundary: any other failure is still a coded error
+        message = f"{type(exc).__name__}: {exc}"
+        sys.stdout.write(dumps({"error": {"code": "E_INTERNAL", "message": message}}) + "\n")
         return EXIT_ERROR
     rendered = _render_text(result) if args.format == "text" else dumps(result) + "\n"
     if args.out:

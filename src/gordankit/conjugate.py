@@ -27,7 +27,7 @@ from .quadratics import (
     SymMatrix,
     is_psd,
 )
-from .sampling import grid_points, simplex_lattice_array
+from .sampling import grid_points, shared_simplex_lattice
 from .zmatrix import z_family_report
 
 DEFAULT_BOX_HALFWIDTH = 8.0
@@ -104,7 +104,7 @@ def conjugate_sup_min(fam: QuadraticFamily, y, cfg: EngineConfig) -> ConjugateSu
 
     m = fam.size
     r = min(cfg.simplex_grid_resolution, 64)
-    lattice = simplex_lattice_array(m, r)
+    lattice = shared_simplex_lattice(m, r)
     a_s, b_s, c_s = fam.coefficient_stacks()
     a = np.einsum("km,mij->kij", lattice, a_s)
     b = lattice @ b_s - y

@@ -42,10 +42,11 @@ from .quadratics import (
     project_onto,
     sym_eigen,
 )
-from .sampling import halton_points, simplex_lattice_array, sphere_sample
+from .sampling import halton_points, shared_simplex_lattice, sphere_sample
 
 SEARCH_BOX_HALFWIDTH = 8.0
 LATTICE_SOFT_BUDGET = 250_000
+LATTICE_BLOCK = 4096  # lattice weights aggregated and ranked per batch call
 
 
 @dataclass(frozen=True)
@@ -374,7 +375,7 @@ def _game_lp_certificate(fam: QuadraticFamily, dom: FinitePointSet):
         t = np.maximum(res.x[:m], 0.0)
     t = t / t.sum()
     inf_val = float((t @ values).min())
-    return t, inf_val, None
+    return t, inf_val, None, True
 
 
 def _golden_max(h, lo: float, hi: float, iters: int = 60):
@@ -444,38 +445,48 @@ def _refine_weight(fam: QuadraticFamily, dom: Domain, t0: np.ndarray, inf0: floa
     return t, best
 
 
+def _lattice_infima(fam: QuadraticFamily, lattice: np.ndarray, dom: Domain) -> np.ndarray:
+    """Aggregate infimum at every lattice weight, ``LATTICE_BLOCK`` weights at a time.
+
+    Batch values near a tolerance boundary are re-verified with the scalar path.
+    """
+    values = np.empty(len(lattice))
+    for start in range(0, len(lattice), LATTICE_BLOCK):
+        block = lattice[start:start + LATTICE_BLOCK]
+        vals, flags = batch_infimum(*_aggregate_stacks(fam, block), dom)
+        for i in np.where(flags)[0]:
+            vals[i] = _aggregate_inf_scalar(fam, block[i], dom)
+        values[start:start + len(block)] = vals
+    return values
+
+
 def _search_certificate(fam: QuadraticFamily, dom: Domain, cfg: EngineConfig,
                         seed_weight: Optional[np.ndarray] = None):
-    """Best simplex weight for the aggregate infimum; returns (t, inf, argmin)."""
+    """Best simplex weight for the aggregate infimum; returns (t, inf, argmin, exact).
+
+    ``inf`` and ``argmin`` come from one :func:`quadratic_infimum` call at
+    the final weight; ``exact`` is its flag, and a caller may only certify
+    when it is True.
+    """
     m = fam.size
     if isinstance(dom, FinitePointSet):
         return _game_lp_certificate(fam, dom)
     if m == 1:
         t = np.array([1.0])
-        res = quadratic_infimum(fam.members[0], dom)
-        return t, res.value, res.argmin
-    r = _effective_resolution(m, cfg.simplex_grid_resolution)
-    lattice = simplex_lattice_array(m, r)
-    if seed_weight is not None:
-        lattice = np.vstack([lattice, seed_weight.reshape(1, -1)])
-    a, b, c = _aggregate_stacks(fam, lattice)
-    values, flags = batch_infimum(a, b, c, dom)
-    if np.any(flags):
-        idxs = np.where(flags)[0]
-        for i in idxs:
-            values[i] = _aggregate_inf_scalar(fam, lattice[i], dom)
-    best_idx = int(np.argmax(values))
-    t0, inf0 = lattice[best_idx].copy(), float(values[best_idx])
-    if not np.isfinite(inf0):
-        # Every lattice aggregate is unbounded below; report the barycenter.
-        inf0 = _aggregate_inf_scalar(fam, t0, dom)
-    t, inf_val = _refine_weight(fam, dom, t0, inf0, cfg)
-    inf_val = _aggregate_inf_scalar(fam, t, dom)  # re-verify the winner exactly
-    argmin = None
-    if np.isfinite(inf_val):
-        res = quadratic_infimum(aggregate(fam, t), dom)
-        argmin = res.argmin
-    return t, inf_val, argmin
+    else:
+        r = _effective_resolution(m, cfg.simplex_grid_resolution)
+        lattice = shared_simplex_lattice(m, r)
+        if seed_weight is not None:
+            lattice = np.vstack([lattice, seed_weight.reshape(1, -1)])
+        values = _lattice_infima(fam, lattice, dom)
+        best_idx = int(np.argmax(values))
+        t0, inf0 = lattice[best_idx].copy(), float(values[best_idx])
+        if not np.isfinite(inf0):
+            # Every lattice aggregate is unbounded below; report the barycenter.
+            inf0 = _aggregate_inf_scalar(fam, t0, dom)
+        t, _ = _refine_weight(fam, dom, t0, inf0, cfg)
+    res = quadratic_infimum(aggregate(fam, t), dom)
+    return t, res.value, res.argmin, res.exact
 
 
 # --------------------------------------------------------------------------
@@ -503,8 +514,8 @@ def decide_alternative(fam: QuadraticFamily, dom: Domain, cfg: EngineConfig) -> 
     if sup1 < -cfg.delta_strict:
         return FeasiblePoint(x1, sup1)
 
-    t, inf_val, agg_argmin = _search_certificate(shifted, dom, cfg)
-    if inf_val >= -cfg.tol_cert:
+    t, inf_val, agg_argmin, exact = _search_certificate(shifted, dom, cfg)
+    if exact and inf_val >= -cfg.tol_cert:
         return Certificate(SimplexWeight(t), inf_val)
 
     seeds = None if agg_argmin is None else np.atleast_2d(agg_argmin)
@@ -529,9 +540,9 @@ def characterization_probe(fam: QuadraticFamily, dom: Domain, alpha: float,
     _check_dims(fam, dom)
     shifted = fam.shifted(alpha)
     x, sup_val = _search_feasible(shifted, dom, cfg)
-    t, inf_val, _ = _search_certificate(shifted, dom, cfg)
+    t, inf_val, _, exact = _search_certificate(shifted, dom, cfg)
     a1 = bool(sup_val < -cfg.delta_strict)
-    a2 = bool(inf_val >= -cfg.tol_cert)
+    a2 = bool(exact and inf_val >= -cfg.tol_cert)
     if a1 and a2:
         raise InternalConsistencyError(
             f"both alternatives verified at alpha={alpha}: sup={sup_val!r}, inf={inf_val!r}"

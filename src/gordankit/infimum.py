@@ -2,11 +2,19 @@
 
 The scalar entry point is :func:`quadratic_infimum`.  Values over the reals,
 the nonnegative orthant, boxes, spheres, and finite point sets are exact at
-desk scale; the orthant and box use facial enumeration, the sphere a secular
-equation.  Unboundedness over the orthant is decided by the ray criterion
-for quadratics on polyhedra: the infimum is -inf iff the quadratic form is
-not copositive on the orthant or some nonnegative null direction of a
-principal submatrix has negative linear term.
+desk scale; the sphere uses a secular equation and the box facial
+enumeration.  On the orthant a positive definite quadratic form takes an
+active-set route at any dimension: block principal pivoting (Judice-Pires
+1994, with Murty's 1974 least-index rule as the finite fallback) on the
+linear complementarity problem w = Ax + b >= 0, x >= 0, x.w = 0 proposes a
+support, and the support is accepted only when the enumeration's own
+stationary-point kernel reproduces a KKT point there (KKT is sufficient for
+global optimality when A is positive definite).  Everything else on the
+orthant, and every support that fails that check, uses facial enumeration.
+Unboundedness over the orthant is decided by the ray criterion for
+quadratics on polyhedra: the infimum is -inf iff the quadratic form is not
+copositive on the orthant or some nonnegative null direction of a principal
+submatrix has negative linear term.
 
 Batched variants rank many aggregates at once; items near a tolerance
 boundary are flagged so callers can re-verify them with the scalar path.
@@ -37,6 +45,8 @@ from .quadratics import (
 N_ENUM_DEFAULT = 14
 BOX_FACE_BUDGET = 20000
 _STATLOC_TOL = 1e-9  # slack for accepting a stationary point as feasible
+_BLOCK_SWAP_TRIES = 3  # block swaps that do not shrink the infeasible set before single swaps
+_PIVOTS_PER_DIM = 10  # the active-set loop gives up after this many pivots per coordinate
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +70,27 @@ class InfimumResult:
 
 def _eval_raw(a: np.ndarray, b: np.ndarray, c: float, x: np.ndarray) -> float:
     return float(0.5 * x @ a @ x + b @ x + c)
+
+
+def _stationary_point(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """Minimizer of 1/2 x^T A x + b^T x over R^s for PSD ``a``, else None.
+
+    None when ``a`` has a negative eigenvalue or ``b`` leaves the range of
+    ``a`` (no stationary point); otherwise the pseudo-inverse solution.
+    """
+    w, v = np.linalg.eigh(a)
+    wmax = np.abs(w).max()
+    if w[0] < -TOL_PSD * (1.0 + wmax):
+        return None
+    keep = w > PINV_CUTOFF * max(1.0, wmax)
+    beta = v.T @ b
+    outside = beta.copy()
+    outside[keep] = 0.0
+    if np.linalg.norm(outside) > PINV_CUTOFF * (1.0 + np.linalg.norm(b)):
+        return None
+    if not np.any(keep):
+        return np.zeros(b.shape[0])
+    return -(v[:, keep] @ (beta[keep] / w[keep]))
 
 
 # --------------------------------------------------------------------------
@@ -156,9 +187,84 @@ def _null_direction_lp(sub: np.ndarray, b_sub: np.ndarray, tol: float):
     return None
 
 
-def _orthant_infimum(a: np.ndarray, b: np.ndarray, c: float):
+def _positive_definite(w: np.ndarray) -> bool:
+    """Whether ascending eigenvalues ``w`` clear the pseudo-inverse cutoff."""
+    return bool(w[0] > PINV_CUTOFF * max(1.0, np.abs(w).max()))
+
+
+def _kkt_tolerances(a: np.ndarray, b: np.ndarray, x: np.ndarray):
+    """Slack on x >= 0 and, per coordinate, on (Ax + b) >= 0 at ``x``."""
+    tol_x = _STATLOC_TOL * (1.0 + np.abs(x).max(initial=0.0))
+    tol_w = _STATLOC_TOL * (1.0 + np.abs(a) @ np.abs(x) + np.abs(b))
+    return tol_x, tol_w
+
+
+def _orthant_active_set(a: np.ndarray, b: np.ndarray, c: float):
+    """Exact orthant infimum of a positive definite form from a verified support.
+
+    Block principal pivoting proposes the support F of the LCP solution: it
+    swaps every infeasible index (x_i < 0 on F, w_i < 0 off F) at once, and
+    after ``_BLOCK_SWAP_TRIES`` block swaps that do not shrink the
+    infeasible set it swaps only the least such index (Murty's rule, finite
+    for positive definite A).  The support is then re-solved with
+    :func:`_stationary_point` and accepted only if x >= 0 on F and
+    Ax + b >= 0 off F hold within tolerance.  Returns (value, argmin), or
+    None when the loop hits its cap or the check fails.
+    """
     n = b.shape[0]
-    w_full, v_full = np.linalg.eigh(a)
+    free = np.zeros(n, dtype=bool)
+    best_count, tries = n + 1, _BLOCK_SWAP_TRIES
+    for _ in range(_PIVOTS_PER_DIM * (n + 1)):
+        x = np.zeros(n)
+        if np.any(free):
+            try:
+                x[free] = np.linalg.solve(a[np.ix_(free, free)], -b[free])
+            except np.linalg.LinAlgError:
+                return None
+        w = a @ x + b
+        tol_x, tol_w = _kkt_tolerances(a, b, x)
+        bad = np.where(free, x < -tol_x, w < -tol_w)
+        count = int(bad.sum())
+        if count == 0:
+            break
+        if count < best_count:
+            best_count, tries = count, _BLOCK_SWAP_TRIES
+            free ^= bad
+        elif tries > 0:
+            tries -= 1
+            free ^= bad
+        else:
+            first = int(np.argmax(bad))
+            free[first] = not free[first]
+    else:
+        return None
+
+    x = np.zeros(n)
+    if np.any(free):
+        idx = np.where(free)[0]
+        xh = _stationary_point(a[np.ix_(idx, idx)], b[idx])
+        if xh is None or xh.min() < -_STATLOC_TOL * (1.0 + np.abs(xh).max()):
+            return None
+        x[idx] = np.maximum(xh, 0.0)
+    _, tol_w = _kkt_tolerances(a, b, x)
+    w = a @ x + b
+    if np.any(w[~free] < -tol_w[~free]):
+        return None
+    return _eval_raw(a, b, c, x), x
+
+
+def _orthant_infimum(a: np.ndarray, b: np.ndarray, c: float):
+    w_full = np.linalg.eigvalsh(a)
+    if _positive_definite(w_full):
+        found = _orthant_active_set(a, b, c)
+        if found is not None:
+            return found[0], found[1], None
+    return _orthant_enumeration(a, b, c, w_full)
+
+
+def _orthant_enumeration(a: np.ndarray, b: np.ndarray, c: float, w_full: np.ndarray):
+    """Facial enumeration over all 2^n supports; ``w_full`` are A's eigenvalues."""
+    n = b.shape[0]
     wmax = np.abs(w_full).max()
     scale_a = 1.0 + wmax
     tol_ray = max(TOL_PSD * (1.0 + np.linalg.norm(b)), 1e-12)
@@ -191,21 +297,8 @@ def _orthant_infimum(a: np.ndarray, b: np.ndarray, c: float):
     best_val = c
     best_x = np.zeros(n)
     for idx in _subsets(n):
-        sub = a[np.ix_(idx, idx)]
-        b_sub = b[idx]
-        w, v = np.linalg.eigh(sub)
-        sub_scale = 1.0 + np.abs(w).max()
-        if w[0] < -TOL_PSD * sub_scale:
-            continue
-        cut = PINV_CUTOFF * max(1.0, np.abs(w).max())
-        keep = w > cut
-        beta = v.T @ b_sub
-        outside = beta.copy()
-        outside[keep] = 0.0
-        if np.linalg.norm(outside) > PINV_CUTOFF * (1.0 + np.linalg.norm(b_sub)):
-            continue
-        xh = -(v[:, keep] @ (beta[keep] / w[keep])) if np.any(keep) else np.zeros(len(idx))
-        if xh.min() < -_STATLOC_TOL * (1.0 + np.abs(xh).max()):
+        xh = _stationary_point(a[np.ix_(idx, idx)], b[idx])
+        if xh is None or xh.min() < -_STATLOC_TOL * (1.0 + np.abs(xh).max()):
             continue
         x = np.zeros(n)
         x[idx] = np.maximum(xh, 0.0)
@@ -319,18 +412,9 @@ def _box_infimum(a: np.ndarray, b: np.ndarray, c: float, lo: np.ndarray, hi: np.
         fixed = np.where(states != 2)[0]
         sub = a[np.ix_(free, free)]
         b_red = b[free] + (a[np.ix_(free, fixed)] @ x[fixed] if fixed.size else 0.0)
-        w, v = np.linalg.eigh(sub)
-        sub_scale = 1.0 + np.abs(w).max()
-        if w[0] < -TOL_PSD * sub_scale:
+        xh = _stationary_point(sub, b_red)
+        if xh is None:
             continue
-        cut = PINV_CUTOFF * max(1.0, np.abs(w).max())
-        keep = w > cut
-        beta = v.T @ b_red
-        outside = beta.copy()
-        outside[keep] = 0.0
-        if np.linalg.norm(outside) > PINV_CUTOFF * (1.0 + np.linalg.norm(b_red)):
-            continue
-        xh = -(v[:, keep] @ (beta[keep] / w[keep])) if np.any(keep) else np.zeros(free.size)
         slack = _STATLOC_TOL * (1.0 + np.abs(xh).max())
         if np.any(xh < lo[free] - slack) or np.any(xh > hi[free] + slack):
             continue
@@ -372,6 +456,10 @@ def quadratic_infimum(q: QuadraticFunction, dom: Domain, n_enum: int = N_ENUM_DE
         if dom.dim <= n_enum:
             val, x, d = _orthant_infimum(a, b, c)
             return InfimumResult(val, x, True, d)
+        if _positive_definite(np.linalg.eigvalsh(a)):
+            found = _orthant_active_set(a, b, c)
+            if found is not None:
+                return InfimumResult(found[0], found[1], True)
         val, x = _orthant_descent(a, b, c)
         return InfimumResult(val, x, False, note="approximate (projected descent)")
     if isinstance(dom, UnitSphere):

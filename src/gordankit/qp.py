@@ -40,7 +40,7 @@ from .quadratics import (
     aggregate,
     eval_quadratic,
 )
-from .sampling import rng_stream, simplex_lattice_array
+from .sampling import rng_stream, shared_simplex_lattice
 from .zmatrix import z_family_report
 
 TOL_BISECT = 1e-8
@@ -190,8 +190,8 @@ def _test_level(p: QpProblem, gamma: float, cfg: EngineConfig,
     x, sup_val = _search_feasible(fam, p.domain, cfg, extra_seeds=seeds)
     if sup_val < -cfg.delta_strict:
         return "a1", x, None
-    t, inf_val, agg_argmin = _search_certificate(fam, p.domain, cfg, seed_weight=warm_t)
-    if inf_val >= -cfg.tol_cert:
+    t, inf_val, agg_argmin, exact = _search_certificate(fam, p.domain, cfg, seed_weight=warm_t)
+    if exact and inf_val >= -cfg.tol_cert:
         return "a2", None, t
     if agg_argmin is not None:
         x2, sup2 = _search_feasible(fam, p.domain, cfg, extra_seeds=np.atleast_2d(agg_argmin))
@@ -275,7 +275,7 @@ def solve_levelset(p: QpProblem, cfg: EngineConfig, tol_bisect: float = TOL_BISE
     fam = p.constraints
     x_f, v_f = _search_feasible(fam, p.domain, cfg)
     if v_f > cfg.tol_cert:
-        t, inf_val, _ = _search_certificate(fam, p.domain, cfg)
+        _, inf_val, _, _ = _search_certificate(fam, p.domain, cfg)
         diagnostics["constraint_certificate_inf"] = inf_val
         diagnostics["best_constraint_sup"] = v_f
         return LevelsetResult("infeasible", math.inf, None, 0, (math.nan, math.nan), diagnostics)
@@ -443,7 +443,7 @@ def fritz_john_search(p: QpProblem, x0, cfg: EngineConfig) -> FjSearchResult:
         return w
 
     dim = 1 + len(act)
-    cand_small = [row for row in simplex_lattice_array(dim, min(cfg.simplex_grid_resolution, 16))]
+    cand_small = [row for row in shared_simplex_lattice(dim, min(cfg.simplex_grid_resolution, 16))]
     cand_small.extend(_algebraic_candidates(p, x0, act))
     best_w, best_res = None, math.inf
     for w_small in cand_small:

@@ -7,6 +7,7 @@ stream index, so every corpus is reproducible from a single 64-bit seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -53,7 +54,17 @@ def simplex_lattice(m: int, resolution: int):
 
 
 def simplex_lattice_array(m: int, resolution: int) -> np.ndarray:
-    """Same lattice as :func:`simplex_lattice`, as a (K, m) float array."""
+    """Same lattice as :func:`simplex_lattice`, as a fresh (K, m) float array."""
+    return shared_simplex_lattice(m, resolution).copy()
+
+
+@lru_cache(maxsize=32)
+def shared_simplex_lattice(m: int, resolution: int) -> np.ndarray:
+    """The lattice of :func:`simplex_lattice_array`, built once per (m, resolution).
+
+    Every caller receives the same read-only array, so the library's
+    repeated searches do not rebuild (and reallocate) it.
+    """
     if m < 1 or resolution < 1:
         raise ValueError("m and resolution must be positive")
     count = comb(resolution + m - 1, m - 1)
@@ -73,7 +84,9 @@ def simplex_lattice_array(m: int, resolution: int) -> np.ndarray:
             rec(prefix + [k], remaining - k, slot + 1)
 
     rec([], resolution, 0)
-    return out / float(resolution)
+    out /= float(resolution)
+    out.flags.writeable = False
+    return out
 
 
 def grid_points(box: Box, resolution) -> np.ndarray:
@@ -165,16 +178,24 @@ def sphere_sample(n: int, count: int, seed: int) -> np.ndarray:
     return g / norms
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+def _first_primes(count: int) -> list:
+    """The ``count`` smallest primes, by trial division."""
+    primes: list = []
+    cand = 2
+    while len(primes) < count:
+        if all(cand % p for p in primes if p * p <= cand):
+            primes.append(cand)
+        cand += 1
+    return primes
 
 
 def halton_points(count: int, dim: int) -> np.ndarray:
-    """The first ``count`` Halton points in [0, 1)^dim (unscrambled)."""
-    if dim > len(_PRIMES):
-        raise ValueError(f"halton_points supports at most {len(_PRIMES)} dimensions")
+    """The first ``count`` Halton points in [0, 1)^dim (unscrambled).
+
+    Column j uses the (j+1)-th prime as its base.
+    """
     out = np.empty((count, dim))
-    for j in range(dim):
-        base = _PRIMES[j]
+    for j, base in enumerate(_first_primes(dim)):
         for i in range(count):
             f, r, k = 1.0, 0.0, i + 1
             while k > 0:

@@ -26,7 +26,7 @@ from .quadratics import (
     SymMatrix,
     weight_vector,
 )
-from .sampling import rng_stream, simplex_lattice_array
+from .sampling import rng_stream, shared_simplex_lattice
 
 AGG_INEQ_SLACK = 1e-9
 FALSIFY_SAMPLES = 500
@@ -209,7 +209,7 @@ def infsup_falsify(fam: QuadraticFamily, dom: Domain, cfg: EngineConfig,
     best: Optional[InfsupViolation] = None
     checked = 0
     for m in range(1, 5):
-        lattice = simplex_lattice_array(m, min(cfg.simplex_grid_resolution, 16))
+        lattice = shared_simplex_lattice(m, min(cfg.simplex_grid_resolution, 16))
         per_m = max(1, samples // 4)
         tuples = _sample_point_tuples(dom, fam.dim, m, per_m, rng)
         for pts in tuples:

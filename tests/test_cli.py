@@ -268,6 +268,20 @@ class TestMalformedCorpus:
         rc, out = _run(capsys, ["zcheck", str(tmp_path / "nope.json")])
         assert "Traceback" not in out
 
+    def test_unexpected_exception_is_a_coded_error(self, tmp_path, capsys, monkeypatch):
+        import gordankit.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver blew up")
+
+        monkeypatch.setattr(cli, "decide_alternative", broken)
+        rc = main(["alternative", _alt_file(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert json.loads(captured.out)["error"] == {"code": "E_INTERNAL",
+                                                     "message": "RuntimeError: solver blew up"}
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):

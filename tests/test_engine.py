@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gordankit import (
+    Box,
     Certificate,
     EngineConfig,
     FeasiblePoint,
@@ -25,7 +26,9 @@ from gordankit import (
     yuan_alternative,
     yuan_pencil_max,
 )
+from gordankit import engine
 from gordankit.errors import DimensionMismatchError
+from gordankit.infimum import batch_infimum
 from gordankit.sampling import (
     random_convex_family,
     rng_stream,
@@ -144,6 +147,48 @@ class TestDecideAlternative:
                     pts = np.abs(pts)
                 sups = fam.eval_members(pts).max(axis=0)
                 assert sups.min() > -cfg.tol_band
+
+
+class TestCertificateSoundness:
+    @staticmethod
+    def _box_defect():
+        # 1/2 |x - 0.37 * 1|^2 on [-1, 1]^10: 3^10 faces exceed the box budget,
+        # so the box infimum is a grid value (0.6845), not the true 0.
+        n = 10
+        centre = np.full(n, 0.37)
+        q = QuadraticFunction(SymMatrix(np.eye(n)), -centre, 0.5 * float(centre @ centre))
+        return QuadraticFamily((q,)), Box(-np.ones(n), np.ones(n))
+
+    def test_inexact_infimum_gives_no_certificate(self, cfg):
+        fam, box = self._box_defect()
+        assert not quadratic_infimum(fam.members[0], box).exact
+        out = decide_alternative(fam, box, cfg)
+        assert isinstance(out, Indeterminate)
+
+    def test_inexact_infimum_is_not_a2(self, cfg):
+        fam, box = self._box_defect()
+        report = characterization_probe(fam, box, 0.0, cfg)
+        assert not report.a2_holds
+
+    def test_reals_past_sixteen_dimensions(self, cfg):
+        fam = random_convex_family(17, 2, 3).shifted(-3.0)
+        out = decide_alternative(fam, Reals(17), cfg)
+        assert isinstance(out, (FeasiblePoint, Certificate, Indeterminate))
+        if isinstance(out, Certificate):
+            agg = aggregate(fam, out.weights)
+            res = quadratic_infimum(agg, Reals(17))
+            assert res.exact and res.value >= -cfg.tol_cert
+
+    def test_blocked_lattice_values_equal_one_batch(self):
+        fam = random_convex_family(3, 4, 8)
+        dom = Reals(3)
+        lattice = simplex_lattice_array(4, 32)
+        assert len(lattice) > engine.LATTICE_BLOCK
+        blocked = engine._lattice_infima(fam, lattice, dom)
+        whole, flags = batch_infimum(*engine._aggregate_stacks(fam, lattice), dom)
+        for i in np.where(flags)[0]:
+            whole[i] = engine._aggregate_inf_scalar(fam, lattice[i], dom)
+        assert np.array_equal(blocked, whole)
 
 
 class TestFinitePointSetEngine:

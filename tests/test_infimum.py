@@ -14,7 +14,8 @@ from gordankit import (
     eval_quadratic,
     quadratic_infimum,
 )
-from gordankit.infimum import batch_infimum, batch_orthant_infimum, batch_real_infimum
+from gordankit import infimum
+from gordankit.infimum import batch_infimum, batch_orthant_infimum, batch_real_infimum, quadratic_infimum_raw
 from gordankit.sampling import grid_points, rng_stream, sphere_sample
 
 
@@ -129,6 +130,128 @@ class TestOrthantInfimum:
             for _ in range(10):
                 x = np.abs(rng.normal(size=n))
                 assert v_orth <= eval_quadratic(q, x) + 1e-10
+
+
+def _pd_case(rng, kind: str, n: int, cond: float = 1e10):
+    """A positive definite orthant instance (a, b) of one of four kinds.
+
+    Condition number 1e10 sits at the pseudo-inverse cutoff (1e-10 relative),
+    so such matrices land on either side of the positive definite test.
+    """
+    if kind == "gaussian":
+        g = rng.normal(size=(n, n))
+        return g @ g.T + 0.1 * np.eye(n), rng.normal(size=n)
+    if kind == "integer":
+        # Small integers: ties between supports and exactly zero gradients.
+        g = rng.integers(-2, 3, size=(n, n)).astype(float)
+        return g @ g.T + np.eye(n), rng.integers(-2, 3, size=n).astype(float)
+    if kind == "ill-conditioned":
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eig = np.logspace(-np.log10(cond), 0, n) if n > 1 else np.ones(1)
+        a = (q * eig) @ q.T
+        return (a + a.T) / 2.0, rng.normal(size=n)
+    # M-matrix: nonpositive off-diagonal, strictly diagonally dominant.
+    a = -rng.uniform(0.0, 1.0, size=(n, n))
+    a = (a + a.T) / 2.0
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, np.abs(a).sum(axis=1) + rng.uniform(0.01, 1.0, size=n))
+    return a, rng.normal(size=n)
+
+
+def _kkt_residual(a, b, x):
+    """Largest violation of x >= 0, Ax + b >= 0 and x . (Ax + b) = 0."""
+    w = a @ x + b
+    return max(-x.min(), -w.min(), float(np.abs(x * w).max()))
+
+
+class TestOrthantActiveSet:
+    def test_matches_enumeration_on_pd_data(self):
+        rng = rng_stream(24, 0)
+        kinds = ("gaussian", "integer", "ill-conditioned", "m-matrix")
+        checked = declined = 0
+        for trial in range(1200):
+            kind = kinds[trial % 4]
+            n = int(rng.integers(1, 11)) if trial % 6 == 0 else int(rng.integers(1, 8))
+            a, b = _pd_case(rng, kind, n)
+            c = float(rng.normal())
+            w = np.linalg.eigvalsh(a)
+            if not infimum._positive_definite(w):
+                continue
+            enum_val, _, _ = infimum._orthant_enumeration(a, b, c, w)
+            tol = 1e-12 * (1.0 + abs(enum_val))
+            found = infimum._orthant_active_set(a, b, c)
+            if found is None:
+                # Only data at the cutoff may fail the check; it then enumerates.
+                assert kind == "ill-conditioned", (trial, kind, n)
+                declined += 1
+            else:
+                assert abs(found[0] - enum_val) <= tol, (trial, kind, n)
+            assert abs(infimum._orthant_infimum(a, b, c)[0] - enum_val) <= tol, (trial, kind, n)
+            checked += 1
+        assert checked >= 1000
+        assert declined <= checked // 20
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_high_dimension_kkt_oracle(self, n):
+        rng = rng_stream(25, n)
+        for kind in ("gaussian", "ill-conditioned", "m-matrix"):
+            for _ in range(5):
+                a, b = _pd_case(rng, kind, n, cond=1e8)
+                c = float(rng.normal())
+                res = quadratic_infimum(_quad(a, b, c), NonnegOrthant(n))
+                assert res.exact, kind
+                x = res.argmin
+                scale = 1.0 + np.abs(a).max() * np.abs(x).max() + np.abs(b).max()
+                assert _kkt_residual(a, b, x) <= 1e-8 * scale, kind
+                assert res.value == pytest.approx(0.5 * x @ a @ x + b @ x + c, abs=1e-12 * scale)
+                raw = quadratic_infimum_raw(a, b, c, NonnegOrthant(n))
+                assert raw == pytest.approx(res.value, abs=1e-12 * (1.0 + abs(res.value)))
+                # No sampled orthant point beats the certified value.
+                pts = np.abs(rng.normal(size=(200, n))) * rng.uniform(0.0, 2.0, size=(200, 1))
+                vals = 0.5 * np.einsum("ki,ij,kj->k", pts, a, pts) + pts @ b + c
+                assert res.value <= vals.min() + 1e-9
+
+    def test_singular_and_indefinite_data_use_the_enumeration(self, monkeypatch):
+        calls = []
+        real = infimum._orthant_active_set
+
+        def spy(a, b, c):
+            calls.append(a.shape[0])
+            return real(a, b, c)
+
+        monkeypatch.setattr(infimum, "_orthant_active_set", spy)
+        rng = rng_stream(26, 0)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            g = rng.normal(size=(n, n - 1))
+            singular = _quad(g @ g.T, rng.normal(size=n), 0.0)
+            m = rng.normal(size=(n, n))
+            indefinite = _quad(m + m.T - 3.0 * np.eye(n), rng.normal(size=n), 0.0)
+            for q in (singular, indefinite):
+                res = quadratic_infimum(q, NonnegOrthant(n))
+                assert res.exact
+                quadratic_infimum_raw(q.a.entries, q.b, q.c, NonnegOrthant(n))
+        assert calls == []
+        g = rng.normal(size=(3, 3))
+        quadratic_infimum(_quad(g @ g.T + np.eye(3), rng.normal(size=3), 0.0), NonnegOrthant(3))
+        assert calls == [3]
+
+    def test_large_singular_data_is_marked_inexact(self):
+        # Past the enumeration cap only positive definite data is exact; the
+        # projected-descent fallback runs (and says so) at any dimension.
+        n = 17
+        g = rng_stream(27, 0).normal(size=(n, n - 2))
+        res = quadratic_infimum(_quad(g @ g.T, np.ones(n), 0.0), NonnegOrthant(n))
+        assert not res.exact
+        assert res.value == pytest.approx(0.0, abs=1e-12)
+
+    def test_failed_verification_falls_back_to_enumeration(self, monkeypatch):
+        monkeypatch.setattr(infimum, "_orthant_active_set", lambda a, b, c: None)
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        res = quadratic_infimum(_quad(a, [-1.0, 1.0], 0.0), NonnegOrthant(2))
+        assert res.exact
+        assert res.value == pytest.approx(-0.25, abs=1e-15)
+        assert res.argmin == pytest.approx([0.5, 0.0], abs=1e-15)
 
 
 class TestSphereInfimum:

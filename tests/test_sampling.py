@@ -16,6 +16,7 @@ from gordankit import (
     simplex_lattice_array,
     sphere_sample,
 )
+from gordankit.sampling import shared_simplex_lattice
 from gordankit.zmatrix import bordered, is_z_matrix
 
 
@@ -73,6 +74,20 @@ class TestSimplexLattice:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             simplex_lattice_array(8, 200)
+
+    def test_shared_lattice_is_built_once_and_read_only(self):
+        shared = shared_simplex_lattice(3, 7)
+        assert shared_simplex_lattice(3, 7) is shared
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0, 0] = 0.5
+
+    def test_public_array_is_a_fresh_writable_copy(self):
+        first = simplex_lattice_array(3, 7)
+        assert first.flags.writeable
+        assert np.array_equal(first, shared_simplex_lattice(3, 7))
+        first[0, 0] = 0.5
+        assert simplex_lattice_array(3, 7)[0, 0] == 0.0
 
 
 class TestGridMin:
@@ -171,6 +186,20 @@ class TestHalton:
     def test_first_base2_values(self):
         pts = halton_points(3, 1)
         assert np.allclose(pts[:, 0], [0.5, 0.25, 0.75])
+
+    def test_past_sixteen_dimensions(self):
+        pts = halton_points(8, 20)
+        assert pts.shape == (8, 20)
+        assert np.all((0.0 <= pts) & (pts < 1.0))
+        # Column 17 uses the 17th prime, 59: its first points are k / 59.
+        assert np.array_equal(pts[:, 16], np.arange(1, 9) / 59.0)
+        # The first 16 columns are the point set of the 16-dimensional sequence.
+        assert np.array_equal(pts[:, :16], halton_points(8, 16))
+
+    def test_bases_are_the_first_primes(self):
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+        pts = halton_points(1, len(primes))
+        assert np.array_equal(pts[0], [1.0 / p for p in primes])
 
 
 class TestRandomConvexFamily:
