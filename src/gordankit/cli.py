@@ -4,8 +4,8 @@ One invocation processes one problem file.  Exit codes: 0 when the problem
 was decided (alternative resolved, certificate valid, solve converged),
 2 for indeterminate or suspected-only verdicts, 1 for schema, dimension,
 numeric or internal errors (reported as a machine-readable error object,
-never a stack trace).  Output floats carry 17 significant digits and identical
-inputs produce identical bytes.
+never a stack trace).  Output floats carry 17 significant digits and
+identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
