@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Conjugate-of-supremum formula versus the brute-force grid oracle on
-convex and diagonally-strengthened Z families."""
+convex and diagonally-strengthened Z families.
+
+Exits 1 when any compared gap exceeds ``--tol``."""
 
 import argparse
 
@@ -24,12 +26,13 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", type=int, default=40)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--tol", type=float, default=1e-6)
     args = ap.parse_args()
 
     cfg = EngineConfig(seed=args.seed)
     rng = rng_stream(args.seed, 3)
     worst = 0.0
-    compared = unstable = infinite = 0
+    compared = unstable = infinite = over = 0
     for i in range(args.instances):
         n = int(rng.integers(1, 3))
         m = int(rng.integers(1, 4))
@@ -50,12 +53,15 @@ def main():
         compared += 1
         gap = abs(res.value.value - brute.value)
         worst = max(worst, gap)
+        over += gap > args.tol
         print(f"i={i:3d} n={n} m={m} value={res.value.value:+.8f} "
               f"brute={brute.value:+.8f} gap={gap:.2e} "
               f"routes(z={res.z_route}, convex={res.convex_route})")
     print(f"\ncompared: {compared}   infinite: {infinite}   "
           f"box-unstable: {unstable}   worst gap: {worst:.3e}")
+    print(f"gaps above {args.tol:g}: {over}")
+    return 1 if over else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Solve random bordered-Z quadratic programs and certify each solution with
-Fritz John multipliers and a KKT check."""
+Fritz John multipliers and a KKT check.
+
+Exits 1 when a solved program is not certified."""
 
 import argparse
 import time
@@ -77,7 +79,8 @@ def main():
               f"iters={res.iterations:3d} {tag}")
     print(f"\nsolved: {solved}   certified: {certified}   skipped: {skipped}   "
           f"elapsed {time.time()-t0:.1f}s")
+    return 1 if certified < solved else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

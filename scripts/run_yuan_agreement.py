@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Two-matrix alternative vs a dense oracle (t-grid pencil scan plus sphere
-sampling), and a concavity check for the pencil's minimum eigenvalue."""
+sampling), and a concavity check for the pencil's minimum eigenvalue.
+
+Exits 1 when any oracle-decisive pair gets the wrong class."""
 
 import argparse
 
@@ -55,7 +57,8 @@ def main():
 
         worst = min(worst, float((gv((t1 + t2) / 2) - (gv(t1) + gv(t2)) / 2).min()))
     print(f"pencil concavity slack (10000 triples): {worst:.3e}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import EngineConfig, _golden_max
+from .engine import EngineConfig, simplex_pairwise_max
 from .errors import DimensionMismatchError
 from .infimum import quadratic_infimum, batch_real_infimum
 from .quadratics import (
@@ -24,7 +24,7 @@ from .quadratics import (
     QuadraticFunction,
     Reals,
     SimplexWeight,
-    SymMatrix,
+    aggregate,
     is_psd,
 )
 from .sampling import grid_points, shared_simplex_lattice
@@ -113,52 +113,21 @@ def conjugate_sup_min(fam: QuadraticFamily, y, cfg: EngineConfig) -> ConjugateSu
     conj = -inf_vals  # +inf where the aggregate conjugate is infinite
 
     def conj_at(t: np.ndarray) -> float:
-        agg_a = np.einsum("m,mij->ij", t, a_s)
-        q = QuadraticFunction(SymMatrix((agg_a + agg_a.T) / 2.0), t @ b_s, float(t @ c_s))
-        return conjugate_quadratic(q, y).as_float()
+        return conjugate_quadratic(aggregate(fam, t), y).as_float()
 
     for i in np.where(flags)[0]:
         conj[i] = conj_at(lattice[i])
     best = int(np.argmin(conj))
     t = lattice[best].copy()
     best_val = conj_at(t)
-
-    if m > 1 and np.isfinite(best_val):
-        # The map t -> conjugate(aggregate) is convex; refine pairwise.
-        for _ in range(3):
-            improved = False
-            for i in range(m):
-                for j in range(i + 1, m):
-                    s = t[i] + t[j]
-                    if s <= 1e-15:
-                        continue
-
-                    def neg_slice(theta):
-                        cand = t.copy()
-                        cand[i], cand[j] = theta, s - theta
-                        v = conj_at(cand)
-                        return -v if np.isfinite(v) else -1e300
-
-                    grid = np.linspace(0.0, s, 33)
-                    gv = np.array([neg_slice(g) for g in grid])
-                    gi = int(np.argmax(gv))
-                    lo = grid[max(0, gi - 1)]
-                    hi = grid[min(len(grid) - 1, gi + 1)]
-                    theta, negval = _golden_max(neg_slice, lo, hi)
-                    if -negval < best_val - 1e-14 * (1.0 + abs(best_val)):
-                        t[i], t[j] = theta, s - theta
-                        best_val = -negval
-                        improved = True
-            if not improved:
-                break
-        best_val = conj_at(t)
+    if np.isfinite(best_val):
+        # The map t -> conjugate(aggregate) is convex; maximize its negation.
+        t, _ = simplex_pairwise_max(lambda w: -conj_at(w), t, -best_val)
 
     weight = SimplexWeight(t)
-    if np.isfinite(best_val):
-        agg_a = np.einsum("m,mij->ij", t, a_s)
-        q = QuadraticFunction(SymMatrix((agg_a + agg_a.T) / 2.0), t @ b_s, float(t @ c_s))
-        value = conjugate_quadratic(q, y)
-    else:
+    value = conjugate_quadratic(aggregate(fam, t), y)
+    if not value.is_finite:
+        # One aggregate's direction of growth does not certify the supremum's.
         value = ConjugateValue.infinite(None)
     return ConjugateSupResult(value, weight, z_route, convex_route, r)
 

@@ -47,6 +47,7 @@ from .sampling import halton_points, shared_simplex_lattice, sphere_sample
 SEARCH_BOX_HALFWIDTH = 8.0
 LATTICE_SOFT_BUDGET = 250_000
 LATTICE_BLOCK = 4096  # lattice weights aggregated and ranked per batch call
+GOLDEN_ITERS = 60  # golden-section steps per 1-D maximization
 
 
 @dataclass(frozen=True)
@@ -378,14 +379,14 @@ def _game_lp_certificate(fam: QuadraticFamily, dom: FinitePointSet):
     return t, inf_val, None, True
 
 
-def _golden_max(h, lo: float, hi: float, iters: int = 60):
+def _golden_max(h, lo: float, hi: float):
     """Golden-section maximum of a concave extended-real function on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c1 = b - invphi * (b - a)
     c2 = a + invphi * (b - a)
     f1, f2 = h(c1), h(c2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if b - a < 1e-14 * (1.0 + abs(a) + abs(b)):
             break
         if f1 < f2:
@@ -401,20 +402,22 @@ def _golden_max(h, lo: float, hi: float, iters: int = 60):
     return best[1], best[0]
 
 
-def _refine_weight(fam: QuadraticFamily, dom: Domain, t0: np.ndarray, inf0: float,
-                   cfg: EngineConfig, sweeps: int = 3):
-    """Pairwise mass-transfer refinement of the aggregate-infimum maximizer.
+def simplex_pairwise_max(h, t0: np.ndarray, h0: float, stop_at: float = math.inf):
+    """Maximize a concave extended-real ``h`` over the simplex from ``t0``.
 
-    The map t -> inf_X(aggregate) is concave, so each 1-D slice is concave;
-    a coarse slice grid brackets the finite region and golden-section
-    finishes it.
+    ``h0`` is ``h(t0)``.  Pairwise mass transfer: each slice
+    t_i + t_j = s is concave, so a coarse slice grid brackets its finite
+    region and golden-section finishes it.  A move is kept only if it gains
+    more than 1e-15 relative (any finite value beats a start at -inf); the
+    search stops after a sweep without a move, after three sweeps, or once
+    the value reaches ``stop_at``.  Returns ``(t, h(t))``.
     """
     m = len(t0)
     if m == 1:
-        return t0, inf0
+        return t0, h0
     t = t0.copy()
-    best = inf0
-    for _ in range(sweeps):
+    best = h0
+    for _ in range(3):
         improved = False
         for i in range(m):
             for j in range(i + 1, m):
@@ -422,27 +425,37 @@ def _refine_weight(fam: QuadraticFamily, dom: Domain, t0: np.ndarray, inf0: floa
                 if s <= 1e-15:
                     continue
 
-                def slice_inf(theta):
+                def slice_h(theta):
                     cand = t.copy()
                     cand[i] = theta
                     cand[j] = s - theta
-                    return _aggregate_inf_scalar(fam, cand, dom)
+                    return h(cand)
 
                 grid = np.linspace(0.0, s, 33)
-                gv = np.array([slice_inf(g) for g in grid])
+                gv = np.array([slice_h(g) for g in grid])
                 gi = int(np.argmax(gv))
                 lo = grid[max(0, gi - 1)]
                 hi = grid[min(len(grid) - 1, gi + 1)]
-                theta, val = _golden_max(slice_inf, lo, hi)
-                if val > best + 1e-15 * (1.0 + abs(best)):
+                theta, val = _golden_max(slice_h, lo, hi)
+                floor = best + 1e-15 * (1.0 + abs(best)) if best > -math.inf else best
+                if val > floor:
                     t[i], t[j] = theta, s - theta
                     best = val
                     improved = True
-                if best >= 0.0:
+                if best >= stop_at:
                     return t, best
         if not improved:
             break
     return t, best
+
+
+def _refine_weight(fam: QuadraticFamily, dom: Domain, t0: np.ndarray, inf0: float):
+    """Refine the lattice's best weight for the (concave) aggregate infimum.
+
+    Stops as soon as the infimum reaches 0, the level of a certificate.
+    """
+    return simplex_pairwise_max(lambda t: _aggregate_inf_scalar(fam, t, dom), t0, inf0,
+                                stop_at=0.0)
 
 
 def _lattice_infima(fam: QuadraticFamily, lattice: np.ndarray, dom: Domain) -> np.ndarray:
@@ -484,7 +497,7 @@ def _search_certificate(fam: QuadraticFamily, dom: Domain, cfg: EngineConfig,
         if not np.isfinite(inf0):
             # Every lattice aggregate is unbounded below; report the barycenter.
             inf0 = _aggregate_inf_scalar(fam, t0, dom)
-        t, _ = _refine_weight(fam, dom, t0, inf0, cfg)
+        t, _ = _refine_weight(fam, dom, t0, inf0)
     res = quadratic_infimum(aggregate(fam, t), dom)
     return t, res.value, res.argmin, res.exact
 
@@ -566,8 +579,10 @@ def characterization_probe(fam: QuadraticFamily, dom: Domain, alpha: float,
 def yuan_pencil_max(a1: SymMatrix, a2: SymMatrix):
     """Maximize g(t) = lambda_min(t A1 + (1-t) A2) over [0, 1].
 
-    g is concave (minimum eigenvalue of an affine matrix family), so a
-    ternary search converges; the interval is shrunk below 1e-12.
+    g is concave (minimum eigenvalue of an affine matrix family), so
+    golden-section search on [0, 1] brackets its maximizer to below 1e-12
+    in ``GOLDEN_ITERS`` steps; the endpoints 0 and 1, which golden-section
+    never evaluates, are compared as well.
     """
     if a1.n != a2.n:
         raise DimensionMismatchError("pencil matrices must have equal dimensions")
@@ -576,21 +591,9 @@ def yuan_pencil_max(a1: SymMatrix, a2: SymMatrix):
     def g(t):
         return float(np.linalg.eigvalsh(t * m1 + (1.0 - t) * m2)[0])
 
-    lo, hi = 0.0, 1.0
-    for _ in range(300):
-        if hi - lo <= 1e-12:
-            break
-        d = (hi - lo) / 3.0
-        p1, p2 = lo + d, hi - d
-        g1, g2 = g(p1), g(p2)
-        if g1 < g2:
-            lo = p1
-        elif g1 > g2:
-            hi = p2
-        else:
-            lo, hi = p1, p2
-    cands = [0.0, 0.5 * (lo + hi), 1.0]
-    vals = [g(t) for t in cands]
+    t_mid, g_mid = _golden_max(g, 0.0, 1.0)
+    cands = [0.0, t_mid, 1.0]
+    vals = [g(0.0), g_mid, g(1.0)]
     idx = int(np.argmax(vals))
     return cands[idx], vals[idx]
 

@@ -442,7 +442,7 @@ GRID_FALLBACK_BUDGET = 200000
 # Public entry points
 
 
-def quadratic_infimum(q: QuadraticFunction, dom: Domain, n_enum: int = N_ENUM_DEFAULT) -> InfimumResult:
+def quadratic_infimum(q: QuadraticFunction, dom: Domain) -> InfimumResult:
     """Infimum of ``q`` over ``dom``, with an argmin witness when attained."""
     if q.dim != dom.dim:
         raise DimensionMismatchError(
@@ -453,7 +453,7 @@ def quadratic_infimum(q: QuadraticFunction, dom: Domain, n_enum: int = N_ENUM_DE
         val, x, d = _real_infimum(a, b, c)
         return InfimumResult(val, x, True, d)
     if isinstance(dom, NonnegOrthant):
-        if dom.dim <= n_enum:
+        if dom.dim <= N_ENUM_DEFAULT:
             val, x, d = _orthant_infimum(a, b, c)
             return InfimumResult(val, x, True, d)
         if _positive_definite(np.linalg.eigvalsh(a)):

@@ -3,9 +3,9 @@
 The feasibility test at each level is the alternative engine run on the
 augmented family {q - gamma} + constraints: a feasible point means the level
 is achievable, a certificate means it is too low.  Optimality is certified
-by Fritz John multipliers (normalized y + sum u = 1) found by search and
-verified through exact aggregate infima, and by KKT checks with sampled
-cross-validation.
+by Fritz John multipliers (normalized y + sum u = 1), found by the engine's
+pairwise simplex search (``simplex_pairwise_max``) and verified through
+exact aggregate infima, and by KKT checks with sampled cross-validation.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .engine import (
     decide_alternative,
     _search_certificate,
     _search_feasible,
+    simplex_pairwise_max,
 )
 from .errors import (
     DimensionMismatchError,
@@ -419,10 +420,12 @@ def _algebraic_candidates(p: QpProblem, x0: np.ndarray, act: np.ndarray):
 def fritz_john_search(p: QpProblem, x0, cfg: EngineConfig) -> FjSearchResult:
     """Search normalized multipliers (y, u) certifying x0 by the Fritz John conditions.
 
-    Candidates come from the simplex lattice and from exact stationarity
-    solves on the active set; each is verified by the attains-its-infimum
-    gap (exact aggregate infimum versus the value at x0) and complementary
-    slackness.  When nothing verifies, the best residuals are reported,
+    The residual max(attains-its-infimum gap, |complementary slackness|)
+    is convex in the weights.  The best of the simplex lattice and of exact
+    stationarity solves on the active set is refined by
+    :func:`simplex_pairwise_max` on the negated residual.  The result is
+    verified by its gap (value at x0 minus the exact aggregate infimum) and
+    its slackness; when they do not verify, the best residuals are reported,
     which signals that x0 is likely not optimal.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -442,58 +445,15 @@ def fritz_john_search(p: QpProblem, x0, cfg: EngineConfig) -> FjSearchResult:
             w[1 + j] = w_small[1 + pos]
         return w
 
-    dim = 1 + len(act)
-    cand_small = [row for row in shared_simplex_lattice(dim, min(cfg.simplex_grid_resolution, 16))]
-    cand_small.extend(_algebraic_candidates(p, x0, act))
-    best_w, best_res = None, math.inf
-    for w_small in cand_small:
-        w = expand(np.asarray(w_small))
-        res = _fj_residual(p, w, x0, cons)
-        if res < best_res:
-            best_res, best_w = res, w
+    def residual(w_small: np.ndarray) -> float:
+        return _fj_residual(p, expand(w_small), x0, cons)
 
-    # Pairwise golden refinement of the (convex) residual over the small simplex.
-    w_small = np.zeros(dim)
-    w_small[0] = best_w[0]
-    for pos, j in enumerate(act):
-        w_small[1 + pos] = best_w[1 + j]
-    if dim > 1:
-        gold = (math.sqrt(5.0) - 1.0) / 2.0
-        for _ in range(3):
-            improved = False
-            for i in range(dim):
-                for j in range(i + 1, dim):
-                    s = w_small[i] + w_small[j]
-                    if s <= 1e-15:
-                        continue
-
-                    def h(theta):
-                        cand = w_small.copy()
-                        cand[i], cand[j] = theta, s - theta
-                        return _fj_residual(p, expand(cand), x0, cons)
-
-                    a, b = 0.0, s
-                    c1, c2 = b - gold * (b - a), a + gold * (b - a)
-                    f1, f2 = h(c1), h(c2)
-                    for _k in range(60):
-                        if b - a <= 1e-15 * (1.0 + s):
-                            break
-                        if f1 > f2:
-                            a, c1, f1 = c1, c2, f2
-                            c2 = a + gold * (b - a)
-                            f2 = h(c2)
-                        else:
-                            b, c2, f2 = c2, c1, f1
-                            c1 = b - gold * (b - a)
-                            f1 = h(c1)
-                    theta = c1 if f1 <= f2 else c2
-                    val = min(f1, f2)
-                    if val < best_res - 1e-18:
-                        w_small[i], w_small[j] = theta, s - theta
-                        best_res, best_w = val, expand(w_small)
-                        improved = True
-            if not improved:
-                break
+    cands = list(shared_simplex_lattice(1 + len(act), min(cfg.simplex_grid_resolution, 16)))
+    cands.extend(_algebraic_candidates(p, x0, act))
+    values = [residual(w) for w in cands]
+    k = int(np.argmin(values))
+    w_small, _ = simplex_pairwise_max(lambda w: -residual(w), cands[k], -values[k])
+    best_w = expand(w_small)
 
     gap = _attains_inf_gap(p, best_w, x0)
     slack = abs(float(best_w[1:] @ cons))

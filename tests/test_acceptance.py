@@ -51,6 +51,7 @@ from gordankit.sampling import (
     simplex_lattice_array,
     sphere_sample,
 )
+from qp_oracle import active_set_oracle
 
 CFG = EngineConfig()
 
@@ -199,7 +200,7 @@ def test_criterion_4_infsup_detection():
 
 
 # ---------------------------------------------------------------------------
-# 5. QP round trip against the dense-grid oracle
+# 5. QP round trip against an exact (n <= 2) or grid + verified-polish (n = 3) oracle
 
 
 def _bounded_z_qp(seed):
@@ -216,14 +217,25 @@ def _bounded_z_qp(seed):
     return QpProblem(obj, cons, dom)
 
 
-def _grid_oracle_value(p, x0):
+def _objective(p, pts):
+    return (0.5 * np.einsum("ki,ij,kj->k", pts, p.objective.a.entries, pts)
+            + pts @ p.objective.b + p.objective.c)
+
+
+def _oracle_value(p, x0):
+    """The exact active-set oracle for n <= 2.  For n = 3, a 4-level refined
+    feasible grid plus the SLSQP end point whenever it verifies feasible
+    (constraints <= 1e-9, x >= 0 on the orthant), scored by the objective at
+    that point; the optimizer's success flag is not consulted."""
     from scipy.optimize import minimize
 
+    n = len(x0)
+    if n <= 2:
+        return active_set_oracle(p)
     lo = np.minimum(x0 - 3.0, -6.0)
     hi = np.maximum(x0 + 3.0, 6.0)
     if isinstance(p.domain, NonnegOrthant):
         lo = np.maximum(lo, 0.0)
-    n = len(x0)
     res = max(9, int(round(200000 ** (1.0 / n))))
     best = np.inf
     best_x = x0
@@ -231,9 +243,7 @@ def _grid_oracle_value(p, x0):
         pts = grid_points(Box(lo, hi), res)
         feas = p.constraints.eval_members(pts).max(axis=0) <= 0.0
         if feas.any():
-            vals = (0.5 * np.einsum("ki,ij,kj->k", pts, p.objective.a.entries, pts)
-                    + pts @ p.objective.b + p.objective.c)
-            vals = np.where(feas, vals, np.inf)
+            vals = np.where(feas, _objective(p, pts), np.inf)
             i = int(np.argmin(vals))
             if vals[i] < best:
                 best, best_x = float(vals[i]), pts[i]
@@ -260,10 +270,12 @@ def _grid_oracle_value(p, x0):
         method="SLSQP",
         options={"maxiter": 400, "ftol": 1e-14},
     )
-    if sol.success and p.constraints.eval_members(sol.x.reshape(1, -1)).max() <= 1e-9:
-        if isinstance(p.domain, NonnegOrthant) and sol.x.min() < -1e-12:
-            return best
-        best = min(best, float(sol.fun))
+    x = sol.x.reshape(1, -1)
+    feasible = p.constraints.eval_members(x).max() <= 1e-9
+    if isinstance(p.domain, NonnegOrthant):
+        feasible = feasible and x.min() >= 0.0
+    if feasible:
+        best = min(best, float(_objective(p, x)[0]))
     return best
 
 
@@ -285,7 +297,7 @@ def test_criterion_5_qp_round_trip():
         res = solve_levelset(p, CFG)
         assert res.status == "converged", (seed, res.status)
         solved += 1
-        oracle = _grid_oracle_value(p, res.x0)
+        oracle = _oracle_value(p, res.x0)
         oracle_worst = max(oracle_worst, abs(res.value - oracle))
         assert abs(res.value - oracle) <= 1e-4, (seed, res.value, oracle)
         fj = fritz_john_search(p, res.x0, CFG)

@@ -191,6 +191,56 @@ class TestCertificateSoundness:
         assert np.array_equal(blocked, whole)
 
 
+class TestSimplexPairwiseMax:
+    def test_min_of_affine_pieces_closed_form(self):
+        # h = min(t1 + (t2 - 0.3), t1 - (t2 - 0.3), 1 - t1)
+        #   = min(t1 - |t2 - 0.3|, 1 - t1): the maximum 1/2 is at t2 = 0.3,
+        # t1 = 1/2, so t* = (0.5, 0.3, 0.2).
+        def h(t):
+            return min(t[0] + (t[1] - 0.3), t[0] - (t[1] - 0.3), 1.0 - t[0])
+
+        t0 = np.full(3, 1.0 / 3.0)
+        t, val = engine.simplex_pairwise_max(h, t0, h(t0))
+        assert np.abs(t - [0.5, 0.3, 0.2]).max() <= 1e-9
+        assert val == pytest.approx(0.5, abs=1e-9)
+        assert val == h(t)
+        assert np.array_equal(t0, np.full(3, 1.0 / 3.0))  # the start is not modified
+
+    def test_finds_finite_region_inside_a_slice(self):
+        # -inf outside t1 in [0.7, 0.9]; a search over the whole slice that
+        # is not bracketed first moves away from the finite region on ties.
+        def h(t):
+            return -(t[0] - 0.85) ** 2 if 0.7 <= t[0] <= 0.9 else -np.inf
+
+        t, val = engine.simplex_pairwise_max(h, np.array([0.5, 0.5]), -np.inf)
+        assert np.abs(t - [0.85, 0.15]).max() <= 1e-9
+        assert np.isfinite(val) and val == h(t)
+
+    def test_stop_at_returns_once_reached(self):
+        seen = []
+
+        def h(t):
+            seen.append(t.copy())
+            return 1.0 - float(((t - [0.6, 0.3, 0.1]) ** 2).sum())
+
+        t0 = np.array([0.1, 0.8, 0.1])  # h = 0.5; the pair (0, 1) slice reaches 1
+        t, val = engine.simplex_pairwise_max(h, t0, h(t0), stop_at=0.9)
+        assert val >= 0.9
+        assert all(w[2] == 0.1 for w in seen)  # no pair after (0, 1) was searched
+        seen.clear()
+        t_full, val_full = engine.simplex_pairwise_max(h, t0, h(t0))
+        assert any(w[2] != 0.1 for w in seen)
+        assert val_full >= val
+
+    def test_single_member_returns_start(self):
+        def h(t):
+            raise AssertionError("h must not be evaluated for m = 1")
+
+        t0 = np.array([1.0])
+        t, val = engine.simplex_pairwise_max(h, t0, 0.25)
+        assert t is t0 and val == 0.25
+
+
 class TestFinitePointSetEngine:
     def test_enumeration_is_exact(self, cfg):
         fam = _linear_family((1.0, 0.0), (-1.0, 0.0))
