@@ -8,6 +8,11 @@ feasible point, a certificate, or an explicit indeterminate band when
 neither search clears its threshold.  All reported margins and infima are
 relative to the level alpha.
 
+The certificate search stops at the first certifying weight: it tries the
+barycentre 1/m, then the best weight of a simplex lattice, then refines
+that weight pairwise.  Every certificate rests on one exact infimum at the
+reported weight.
+
 Searches are deterministic: identical inputs and seed give identical
 outcomes byte for byte.
 """
@@ -410,10 +415,11 @@ def simplex_pairwise_max(h, t0: np.ndarray, h0: float, stop_at: float = math.inf
     region and golden-section finishes it.  A move is kept only if it gains
     more than 1e-15 relative (any finite value beats a start at -inf); the
     search stops after a sweep without a move, after three sweeps, or once
-    the value reaches ``stop_at``.  Returns ``(t, h(t))``.
+    the value reaches ``stop_at`` (a start already there is returned as
+    it is).  Returns ``(t, h(t))``.
     """
     m = len(t0)
-    if m == 1:
+    if m == 1 or h0 >= stop_at:
         return t0, h0
     t = t0.copy()
     best = h0
@@ -437,6 +443,8 @@ def simplex_pairwise_max(h, t0: np.ndarray, h0: float, stop_at: float = math.inf
                 lo = grid[max(0, gi - 1)]
                 hi = grid[min(len(grid) - 1, gi + 1)]
                 theta, val = _golden_max(slice_h, lo, hi)
+                if gv[gi] > val:  # e.g. h finite only at the grid point itself
+                    theta, val = grid[gi], gv[gi]
                 floor = best + 1e-15 * (1.0 + abs(best)) if best > -math.inf else best
                 if val > floor:
                     t[i], t[j] = theta, s - theta
@@ -475,29 +483,37 @@ def _lattice_infima(fam: QuadraticFamily, lattice: np.ndarray, dom: Domain) -> n
 
 def _search_certificate(fam: QuadraticFamily, dom: Domain, cfg: EngineConfig,
                         seed_weight: Optional[np.ndarray] = None):
-    """Best simplex weight for the aggregate infimum; returns (t, inf, argmin, exact).
+    """First certifying simplex weight found; returns (t, inf, argmin, exact).
 
-    ``inf`` and ``argmin`` come from one :func:`quadratic_infimum` call at
-    the final weight; ``exact`` is its flag, and a caller may only certify
-    when it is True.
+    The search order is: the barycentre 1/m, then the best weight of the
+    simplex lattice (plus ``seed_weight``), then pairwise refinement of that
+    weight until its aggregate infimum reaches 0.  Any weight whose exact
+    aggregate infimum is at least 0 is a complete witness for (a2), so the
+    search stops at the barycentre when it certifies; the reported weight
+    is then not the maximizer of the aggregate infimum.  ``inf`` and
+    ``argmin`` come from one :func:`quadratic_infimum` call at the final
+    weight; ``exact`` is its flag, and a caller may only certify when it is
+    True.  Finite point sets are decided by the exact matrix-game LP.
     """
     m = fam.size
     if isinstance(dom, FinitePointSet):
         return _game_lp_certificate(fam, dom)
-    if m == 1:
-        t = np.array([1.0])
-    else:
-        r = _effective_resolution(m, cfg.simplex_grid_resolution)
-        lattice = shared_simplex_lattice(m, r)
-        if seed_weight is not None:
-            lattice = np.vstack([lattice, seed_weight.reshape(1, -1)])
-        values = _lattice_infima(fam, lattice, dom)
-        best_idx = int(np.argmax(values))
+    bary = np.full(m, 1.0 / m)
+    res = quadratic_infimum(aggregate(fam, bary), dom)
+    if m == 1 or (res.exact and res.value >= 0.0):
+        return bary, res.value, res.argmin, res.exact
+    r = _effective_resolution(m, cfg.simplex_grid_resolution)
+    lattice = shared_simplex_lattice(m, r)
+    if seed_weight is not None:
+        lattice = np.vstack([lattice, seed_weight.reshape(1, -1)])
+    values = _lattice_infima(fam, lattice, dom)
+    best_idx = int(np.argmax(values))
+    if np.isfinite(values[best_idx]):
         t0, inf0 = lattice[best_idx].copy(), float(values[best_idx])
-        if not np.isfinite(inf0):
-            # Every lattice aggregate is unbounded below; report the barycenter.
-            inf0 = _aggregate_inf_scalar(fam, t0, dom)
-        t, _ = _refine_weight(fam, dom, t0, inf0)
+    else:
+        # Every lattice aggregate is unbounded below; start from the barycentre.
+        t0, inf0 = bary, res.value
+    t, _ = _refine_weight(fam, dom, t0, inf0)
     res = quadratic_infimum(aggregate(fam, t), dom)
     return t, res.value, res.argmin, res.exact
 
@@ -518,7 +534,11 @@ def decide_alternative(fam: QuadraticFamily, dom: Domain, cfg: EngineConfig) -> 
 
     Returns a FeasiblePoint (margin and infima reported relative to alpha),
     a Certificate whose aggregate infimum re-verifies against the stated
-    tolerance, or an Indeterminate carrying both near-witnesses.
+    tolerance, or an Indeterminate carrying both near-witnesses.  The
+    feasible search runs first; the certificate search then tries the
+    barycentre, the simplex lattice and pairwise refinement, in that order,
+    and a second feasible search seeded at the aggregate's argmin follows
+    only if no certificate was found.
     """
     _check_dims(fam, dom)
     shifted = fam.shifted(cfg.alpha)

@@ -240,6 +240,86 @@ class TestSimplexPairwiseMax:
         t, val = engine.simplex_pairwise_max(h, t0, 0.25)
         assert t is t0 and val == 0.25
 
+    def test_start_at_stop_at_returns_start(self):
+        def h(t):
+            raise AssertionError("h must not be evaluated when the start reaches stop_at")
+
+        t0 = np.array([0.2, 0.3, 0.5])
+        t, val = engine.simplex_pairwise_max(h, t0, 0.0, stop_at=0.0)
+        assert t is t0 and val == 0.0
+
+
+@pytest.fixture
+def infimum_calls(monkeypatch):
+    """Count the engine's exact (scalar) and batch infimum calls."""
+    calls = {"exact": 0, "batch": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "quadratic_infimum", counted("exact", engine.quadratic_infimum))
+    monkeypatch.setattr(engine, "quadratic_infimum_raw",
+                        counted("exact", engine.quadratic_infimum_raw))
+    monkeypatch.setattr(engine, "batch_infimum", counted("batch", engine.batch_infimum))
+    return calls
+
+
+class TestCertificateSearchOrder:
+    def test_barycentre_certificate_skips_the_lattice(self, cfg, infimum_calls):
+        fam = random_convex_family(3, 3, 1).shifted(-3.0)
+        out = decide_alternative(fam, Reals(3), cfg)
+        assert isinstance(out, Certificate)
+        assert np.array_equal(out.weights.t, np.full(3, 1.0 / 3.0))
+        assert infimum_calls == {"exact": 1, "batch": 0}
+
+    def test_unbounded_barycentre_falls_back_to_the_lattice(self, cfg, infimum_calls):
+        # q1 = x + 1, q2 = -3x + 1: the aggregate t1 q1 + t2 q2 is bounded on
+        # the reals only at t1 = 3 t2, i.e. t = (0.75, 0.25), where it equals 1.
+        fam = _linear_family((1.0, 1.0), (-3.0, 1.0))
+        bary = quadratic_infimum(aggregate(fam, SimplexWeight([0.5, 0.5])), Reals(1))
+        assert bary.value == -np.inf
+        out = decide_alternative(fam, Reals(1), cfg)
+        assert isinstance(out, Certificate)
+        assert np.abs(out.weights.t - [0.75, 0.25]).max() <= 1e-9
+        assert out.inf_value == pytest.approx(1.0, abs=1e-9)
+        assert infimum_calls["batch"] >= 1
+
+    def test_all_unbounded_lattice_refines_from_the_barycentre(self, monkeypatch):
+        # At resolution 2 the lattice is {(0, 1), (1/2, 1/2), (1, 0)}, all unbounded.
+        fam = _linear_family((1.0, 1.0), (-3.0, 1.0))
+        starts = []
+        refine = engine._refine_weight
+
+        def spy(fam, dom, t0, inf0):
+            starts.append((t0.copy(), inf0))
+            return refine(fam, dom, t0, inf0)
+
+        monkeypatch.setattr(engine, "_refine_weight", spy)
+        t, inf_val, _, exact = engine._search_certificate(
+            fam, Reals(1), EngineConfig(simplex_grid_resolution=2))
+        assert len(starts) == 1
+        assert np.array_equal(starts[0][0], [0.5, 0.5]) and starts[0][1] == -np.inf
+        assert exact and np.abs(t - [0.75, 0.25]).max() <= 1e-9
+        assert inf_val == pytest.approx(1.0, abs=1e-9)
+
+    def test_orthant_n12_decides_at_the_barycentre(self, cfg, infimum_calls):
+        fam = random_convex_family(12, 3, 1).shifted(-3.0)
+        out = decide_alternative(fam, NonnegOrthant(12), cfg)
+        assert isinstance(out, Certificate)
+        assert infimum_calls["exact"] <= 2 and infimum_calls["batch"] == 0
+        res = quadratic_infimum(aggregate(fam, out.weights), NonnegOrthant(12))
+        assert res.exact and res.value >= -cfg.tol_cert
+
+    def test_probe_reports_a2_through_the_barycentre(self, cfg, infimum_calls):
+        fam = random_convex_family(2, 3, 4).shifted(-3.0)
+        report = characterization_probe(fam, NonnegOrthant(2), 0.0, cfg)
+        assert report.verdict == "a2"
+        assert np.array_equal(report.certificate_weight.t, np.full(3, 1.0 / 3.0))
+        assert infimum_calls == {"exact": 1, "batch": 0}
+
 
 class TestFinitePointSetEngine:
     def test_enumeration_is_exact(self, cfg):
