@@ -134,8 +134,9 @@ class ProbeReport:
 
 def _aggregate_stacks(fam: QuadraticFamily, weights: np.ndarray):
     a_s, b_s, c_s = fam.coefficient_stacks()
+    m, n, _ = a_s.shape
     return (
-        np.einsum("km,mij->kij", weights, a_s, optimize=True),
+        (weights @ a_s.reshape(m, -1)).reshape(-1, n, n),
         weights @ b_s,
         weights @ c_s,
     )
@@ -187,20 +188,25 @@ def _start_points(dom: Domain, n: int, cfg: EngineConfig, extra: Optional[np.nda
 
 
 def _subgradient_descent(fam: QuadraticFamily, dom: Domain, starts: np.ndarray, iters: int):
-    a_s, b_s, _ = fam.coefficient_stacks()
+    a_s, b_s, c_s = fam.coefficient_stacks()
+    rows = np.arange(starts.shape[0])
+
+    def members(x):
+        ax = x @ a_s  # (m, k, n): A_j x for every member and start, shared by values and gradients
+        return 0.5 * (ax * x).sum(axis=2) + b_s @ x.T + c_s[:, None], ax
+
     x = starts.copy()
-    vals = fam.eval_members(x)
+    vals, ax = members(x)
     phi = vals.max(axis=0)
     k_best = int(np.argmin(phi))
     best_phi, best_x = float(phi[k_best]), x[k_best].copy()
     step0 = 2.0
     for k in range(1, iters + 1):
         active = np.argmax(vals, axis=0)  # ties break to the lowest member index
-        grads = np.einsum("mij,kj->mki", a_s, x, optimize=True) + b_s[:, None, :]
-        g = grads[active, np.arange(x.shape[0])]
+        g = ax[active, rows] + b_s[active]
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         x = project_onto(dom, x - (step0 / k) * g / np.maximum(norms, 1e-30))
-        vals = fam.eval_members(x)
+        vals, ax = members(x)
         phi = vals.max(axis=0)
         k_best = int(np.argmin(phi))
         if phi[k_best] < best_phi:
@@ -277,7 +283,7 @@ def _coordinate_minimax_polish(fam: QuadraticFamily, dom: Domain, x0: np.ndarray
         for k in range(n):
             vals = fam.eval_members(x.reshape(1, -1))[:, 0]
             alpha = 0.5 * a_s[:, k, k]
-            beta = np.einsum("mj,j->m", a_s[:, k, :], x) + b_s[:, k]
+            beta = a_s[:, k, :] @ x + b_s[:, k]
             gamma = vals
             lo, hi = _coordinate_bounds(dom, x, k)
             t, val, unbounded = _minimax_1d(alpha, beta, gamma, lo, hi)

@@ -173,8 +173,10 @@ class QuadraticFamily:
         x = np.atleast_2d(np.asarray(points, dtype=float))
         if x.shape[1] != self.dim:
             raise DimensionMismatchError("point dimension mismatch")
-        quad = 0.5 * np.einsum("ki,mij,kj->mk", x, self._a_stack, x, optimize=True)
-        return quad + self._b_stack @ x.T + self._c_stack[:, None]
+        vals = self._b_stack @ x.T + self._c_stack[:, None]
+        for j, a in enumerate(self._a_stack):  # one member at a time: (k, n) temporaries only
+            vals[j] += 0.5 * ((x @ a) * x).sum(axis=1)
+        return vals
 
     def sup_at(self, x) -> float:
         """sup over members at a single point."""

@@ -321,6 +321,26 @@ class TestCertificateSearchOrder:
         assert infimum_calls == {"exact": 1, "batch": 0}
 
 
+class TestFeasibleSearchWork:
+    @pytest.mark.parametrize("dom", [
+        Reals(3), NonnegOrthant(3), Box(-np.ones(3), np.ones(3)), UnitSphere(3),
+    ], ids=["reals", "orthant", "box", "sphere"])
+    def test_no_einsum_and_sup_matches(self, cfg, dom, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        fam = random_convex_family(3, 2, 2).shifted(3.0)
+        x, sup = engine._search_feasible(fam, dom, cfg)
+        assert calls == []
+        assert sup < 0.0
+        assert sup == fam.sup_at(x)
+
+
 class TestFinitePointSetEngine:
     def test_enumeration_is_exact(self, cfg):
         fam = _linear_family((1.0, 0.0), (-1.0, 0.0))

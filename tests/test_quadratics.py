@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,7 +25,7 @@ from gordankit.quadratics import (
     quadratic_from_json,
     quadratic_to_json,
 )
-from gordankit.sampling import rng_stream
+from gordankit.sampling import random_convex_family, rng_stream
 
 
 class TestSymMatrix:
@@ -233,6 +235,22 @@ class TestFamily:
         for j, q in enumerate(fam.members):
             for k in range(7):
                 assert table[j, k] == pytest.approx(eval_quadratic(q, pts[k]), rel=1e-14)
+
+    def test_eval_members_memory_stays_per_member(self):
+        # 200,000 points: temporaries must stay (k, n)-sized, one member at a
+        # time. A stacked (m, k, n) product peaks near 7x the input's size.
+        fam = random_convex_family(3, 3, 5)
+        pts = rng_stream(11, 0).normal(size=(200_000, 3))
+        tracemalloc.start()
+        try:
+            table = fam.eval_members(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * pts.nbytes, f"peak {peak / 1e6:.1f} MB"
+        for j, q in enumerate(fam.members):
+            for k in range(0, len(pts), 1000):
+                assert table[j, k] == pytest.approx(eval_quadratic(q, pts[k]), rel=1e-12)
 
 
 class TestJsonEncoding:
