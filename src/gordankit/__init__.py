@@ -65,7 +65,6 @@ from .quadratics import (
     aggregate,
     eval_quadratic,
     is_psd,
-    pseudo_inverse_apply,
     sym_eigen,
 )
 from .sampling import (

@@ -145,7 +145,7 @@ def _aggregate_stacks(fam: QuadraticFamily, weights: np.ndarray):
 def _aggregate_inf_scalar(fam: QuadraticFamily, t: np.ndarray, dom: Domain) -> float:
     a_s, b_s, c_s = fam.coefficient_stacks()
     a = np.einsum("m,mij->ij", t, a_s)
-    return quadratic_infimum_raw((a + a.T) / 2.0, t @ b_s, float(t @ c_s), dom)
+    return quadratic_infimum_raw((a + a.T) / 2.0, t @ b_s, float(t @ c_s), dom).value
 
 
 def _effective_resolution(m: int, resolution: int) -> int:

@@ -1,20 +1,35 @@
 """Infima of quadratic functions over the supported domains.
 
-The scalar entry point is :func:`quadratic_infimum`.  Values over the reals,
-the nonnegative orthant, boxes, spheres, and finite point sets are exact at
-desk scale; the sphere uses a secular equation and the box facial
-enumeration.  On the orthant a positive definite quadratic form takes an
-active-set route at any dimension: block principal pivoting (Judice-Pires
-1994, with Murty's 1974 least-index rule as the finite fallback) on the
-linear complementarity problem w = Ax + b >= 0, x >= 0, x.w = 0 proposes a
-support, and the support is accepted only when the enumeration's own
-stationary-point kernel reproduces a KKT point there (KKT is sufficient for
-global optimality when A is positive definite).  Everything else on the
-orthant, and every support that fails that check, uses facial enumeration.
-Unboundedness over the orthant is decided by the ray criterion for
-quadratics on polyhedra: the infimum is -inf iff the quadratic form is not
-copositive on the orthant or some nonnegative null direction of a principal
-submatrix has negative linear term.
+The public entry point is :func:`quadratic_infimum`; it checks dimensions
+and calls :func:`quadratic_infimum_raw`, the only code that maps a domain
+and a size to a kernel.  :func:`batch_infimum` has vectorized kernels for
+the reals and the small orthant and hands every other item to the same
+dispatcher, so all three entry points share one routing table:
+
+* reals, any n: exact (eigendecomposition, pseudo-inverse stationary point
+  or a ray of unbounded descent);
+* nonnegative orthant: exact for a positive definite form at any n, and
+  for any form up to ``N_ENUM_DEFAULT`` coordinates; past that cap a form
+  that is not positive definite (or whose active set fails its check) gets
+  a projected-descent value with ``exact=False``;
+* unit sphere, any n: exact (secular equation);
+* box: exact while the 3^n faces fit ``BOX_FACE_BUDGET`` (n <= 9); past
+  that cap, the minimum over a regular grid of about
+  ``GRID_FALLBACK_BUDGET`` points with ``exact=False``;
+* finite point sets, any size: exact.
+
+On the orthant a positive definite quadratic form takes an active-set
+route: block principal pivoting (Judice-Pires 1994, with Murty's 1974
+least-index rule as the finite fallback) on the linear complementarity
+problem w = Ax + b >= 0, x >= 0, x.w = 0 proposes a support, and the
+support is accepted only when the enumeration's own stationary-point kernel
+reproduces a KKT point there (KKT is sufficient for global optimality when
+A is positive definite).  Everything else on the orthant, and every support
+that fails that check, uses facial enumeration.  Unboundedness over the
+orthant is decided by the ray criterion for quadratics on polyhedra: the
+infimum is -inf iff the quadratic form is not copositive on the orthant or
+some nonnegative null direction of a principal submatrix has negative
+linear term.
 
 Batched variants rank many aggregates at once; items near a tolerance
 boundary are flagged so callers can re-verify them with the scalar path.
@@ -41,9 +56,11 @@ from .quadratics import (
     Reals,
     UnitSphere,
 )
+from .sampling import grid_min, halton_points
 
 N_ENUM_DEFAULT = 14
 BOX_FACE_BUDGET = 20000
+GRID_FALLBACK_BUDGET = 200000
 _STATLOC_TOL = 1e-9  # slack for accepting a stationary point as feasible
 _BLOCK_SWAP_TRIES = 3  # block swaps that do not shrink the infeasible set before single swaps
 _PIVOTS_PER_DIM = 10  # the active-set loop gives up after this many pivots per coordinate
@@ -54,7 +71,11 @@ class InfimumResult:
     """Value (possibly -inf) of an infimum, with a witness when attained.
 
     ``direction`` carries a ray of unbounded descent when the value is -inf.
-    ``exact`` is False only for search-based fallbacks (large dimensions).
+    ``exact`` is False only past a size cap (see the module docstring): an
+    orthant form that is not positive definite beyond ``N_ENUM_DEFAULT``
+    coordinates (projected descent), or a box beyond ``BOX_FACE_BUDGET``
+    faces (grid minimum).  ``value`` is then attained but may lie above the
+    infimum.  Every entry point applies the same caps.
     """
 
     value: float
@@ -72,51 +93,29 @@ def _eval_raw(a: np.ndarray, b: np.ndarray, c: float, x: np.ndarray) -> float:
     return float(0.5 * x @ a @ x + b @ x + c)
 
 
-def _stationary_point(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Minimizer of 1/2 x^T A x + b^T x over R^s for PSD ``a``, else None.
+def _stationary_point(a: np.ndarray, b: np.ndarray):
+    """Minimizer of 1/2 x^T A x + b^T x over R^s, or a ray of unbounded descent.
 
-    None when ``a`` has a negative eigenvalue or ``b`` leaves the range of
-    ``a`` (no stationary point); otherwise the pseudo-inverse solution.
+    Returns (x, None) when ``a`` is PSD and ``b`` lies in its range, x being
+    the pseudo-inverse solution.  Otherwise returns (None, d) with d a unit
+    direction along which the quadratic is unbounded below: the bottom
+    eigenvector when ``a`` has a negative eigenvalue, else minus the part of
+    ``b`` outside the range of ``a``.
     """
     w, v = np.linalg.eigh(a)
     wmax = np.abs(w).max()
     if w[0] < -TOL_PSD * (1.0 + wmax):
-        return None
+        return None, v[:, 0].copy()
     keep = w > PINV_CUTOFF * max(1.0, wmax)
     beta = v.T @ b
     outside = beta.copy()
     outside[keep] = 0.0
     if np.linalg.norm(outside) > PINV_CUTOFF * (1.0 + np.linalg.norm(b)):
-        return None
-    if not np.any(keep):
-        return np.zeros(b.shape[0])
-    return -(v[:, keep] @ (beta[keep] / w[keep]))
-
-
-# --------------------------------------------------------------------------
-# Reals
-
-
-def _real_infimum(a: np.ndarray, b: np.ndarray, c: float):
-    w, v = np.linalg.eigh(a)
-    wmax = np.abs(w).max() if w.size else 0.0
-    scale = 1.0 + wmax
-    if w[0] < -TOL_PSD * scale:
-        return -np.inf, None, v[:, 0].copy()
-    cut = PINV_CUTOFF * max(1.0, wmax)
-    keep = w > cut
-    beta = v.T @ b
-    outside = beta.copy()
-    outside[keep] = 0.0
-    out_norm = np.linalg.norm(outside)
-    if out_norm > PINV_CUTOFF * (1.0 + np.linalg.norm(b)):
         d = -(v @ outside)
-        return -np.inf, None, d / np.linalg.norm(d)
-    if np.any(keep):
-        xstar = -(v[:, keep] @ (beta[keep] / w[keep]))
-    else:
-        xstar = np.zeros_like(b)
-    return c + 0.5 * float(b @ xstar), xstar, None
+        return None, d / np.linalg.norm(d)
+    if not np.any(keep):
+        return np.zeros(b.shape[0]), None
+    return -(v[:, keep] @ (beta[keep] / w[keep])), None
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def _orthant_active_set(a: np.ndarray, b: np.ndarray, c: float):
     x = np.zeros(n)
     if np.any(free):
         idx = np.where(free)[0]
-        xh = _stationary_point(a[np.ix_(idx, idx)], b[idx])
+        xh, _ = _stationary_point(a[np.ix_(idx, idx)], b[idx])
         if xh is None or xh.min() < -_STATLOC_TOL * (1.0 + np.abs(xh).max()):
             return None
         x[idx] = np.maximum(xh, 0.0)
@@ -251,15 +250,6 @@ def _orthant_active_set(a: np.ndarray, b: np.ndarray, c: float):
     if np.any(w[~free] < -tol_w[~free]):
         return None
     return _eval_raw(a, b, c, x), x
-
-
-def _orthant_infimum(a: np.ndarray, b: np.ndarray, c: float):
-    w_full = np.linalg.eigvalsh(a)
-    if _positive_definite(w_full):
-        found = _orthant_active_set(a, b, c)
-        if found is not None:
-            return found[0], found[1], None
-    return _orthant_enumeration(a, b, c, w_full)
 
 
 def _orthant_enumeration(a: np.ndarray, b: np.ndarray, c: float, w_full: np.ndarray):
@@ -297,7 +287,7 @@ def _orthant_enumeration(a: np.ndarray, b: np.ndarray, c: float, w_full: np.ndar
     best_val = c
     best_x = np.zeros(n)
     for idx in _subsets(n):
-        xh = _stationary_point(a[np.ix_(idx, idx)], b[idx])
+        xh, _ = _stationary_point(a[np.ix_(idx, idx)], b[idx])
         if xh is None or xh.min() < -_STATLOC_TOL * (1.0 + np.abs(xh).max()):
             continue
         x = np.zeros(n)
@@ -312,8 +302,6 @@ def _orthant_descent(a: np.ndarray, b: np.ndarray, c: float):
     """Projected-gradient fallback for dimensions beyond the enumeration cap."""
     n = b.shape[0]
     lips = 1.0 + np.abs(np.linalg.eigvalsh(a)).max()
-    from .sampling import halton_points
-
     starts = np.vstack([np.zeros((1, n)), halton_points(31, n) * 8.0])
     best_val, best_x = np.inf, None
     for x in starts:
@@ -394,10 +382,11 @@ def _sphere_infimum(a: np.ndarray, b: np.ndarray, c: float):
 # Box
 
 
-def _box_infimum(a: np.ndarray, b: np.ndarray, c: float, lo: np.ndarray, hi: np.ndarray):
+def _box_infimum(a: np.ndarray, b: np.ndarray, c: float, box: Box):
     n = b.shape[0]
     if 3**n > BOX_FACE_BUDGET:
-        return _box_grid_descent(a, b, c, lo, hi)
+        return _box_grid_descent(a, b, c, box)
+    lo, hi = box.lo, box.hi
     best_val, best_x = np.inf, None
     for states in itertools.product((0, 1, 2), repeat=n):
         states = np.array(states)
@@ -412,7 +401,7 @@ def _box_infimum(a: np.ndarray, b: np.ndarray, c: float, lo: np.ndarray, hi: np.
         fixed = np.where(states != 2)[0]
         sub = a[np.ix_(free, free)]
         b_red = b[free] + (a[np.ix_(free, fixed)] @ x[fixed] if fixed.size else 0.0)
-        xh = _stationary_point(sub, b_red)
+        xh, _ = _stationary_point(sub, b_red)
         if xh is None:
             continue
         slack = _STATLOC_TOL * (1.0 + np.abs(xh).max())
@@ -425,17 +414,11 @@ def _box_infimum(a: np.ndarray, b: np.ndarray, c: float, lo: np.ndarray, hi: np.
     return best_val, best_x, True
 
 
-def _box_grid_descent(a, b, c, lo, hi):  # pragma: no cover - large-n fallback
-    from .sampling import grid_points
-
+def _box_grid_descent(a: np.ndarray, b: np.ndarray, c: float, box: Box):
+    """Minimum over a regular grid of about ``GRID_FALLBACK_BUDGET`` points."""
     res = max(3, int(round(GRID_FALLBACK_BUDGET ** (1.0 / b.shape[0]))))
-    pts = grid_points(Box(lo, hi), res)
-    vals = 0.5 * np.einsum("ki,ij,kj->k", pts, a, pts) + pts @ b + c
-    i = int(np.argmin(vals))
-    return float(vals[i]), pts[i].copy(), False
-
-
-GRID_FALLBACK_BUDGET = 200000
+    val, x = grid_min(lambda p: 0.5 * np.einsum("ki,ij,kj->k", p, a, p) + p @ b + c, box, res)
+    return val, x, False
 
 
 # --------------------------------------------------------------------------
@@ -448,27 +431,37 @@ def quadratic_infimum(q: QuadraticFunction, dom: Domain) -> InfimumResult:
         raise DimensionMismatchError(
             f"function dimension {q.dim} does not match domain dimension {dom.dim}"
         )
-    a, b, c = q.a.entries, q.b, q.c
+    return quadratic_infimum_raw(q.a.entries, q.b, q.c, dom)
+
+
+def quadratic_infimum_raw(a: np.ndarray, b: np.ndarray, c: float, dom: Domain) -> InfimumResult:
+    """Infimum from raw coefficient arrays (no validation); the routing table.
+
+    Every entry point of this module reaches its kernel through here, so
+    the size caps of the module docstring are the same everywhere.
+    """
     if isinstance(dom, Reals):
-        val, x, d = _real_infimum(a, b, c)
-        return InfimumResult(val, x, True, d)
+        x, d = _stationary_point(a, b)
+        if x is None:
+            return InfimumResult(-np.inf, None, True, d)
+        return InfimumResult(c + 0.5 * float(b @ x), x, True)
     if isinstance(dom, NonnegOrthant):
-        if dom.dim <= N_ENUM_DEFAULT:
-            val, x, d = _orthant_infimum(a, b, c)
-            return InfimumResult(val, x, True, d)
-        if _positive_definite(np.linalg.eigvalsh(a)):
+        w_full = np.linalg.eigvalsh(a)
+        if _positive_definite(w_full):
             found = _orthant_active_set(a, b, c)
             if found is not None:
                 return InfimumResult(found[0], found[1], True)
+        if dom.dim <= N_ENUM_DEFAULT:
+            val, x, d = _orthant_enumeration(a, b, c, w_full)
+            return InfimumResult(val, x, True, d)
         val, x = _orthant_descent(a, b, c)
         return InfimumResult(val, x, False, note="approximate (projected descent)")
     if isinstance(dom, UnitSphere):
         val, x = _sphere_infimum(a, b, c)
         return InfimumResult(val, x, True)
     if isinstance(dom, Box):
-        val, x, exact = _box_infimum(a, b, c, dom.lo, dom.hi)
-        note = "" if exact else "approximate (grid)"
-        return InfimumResult(val, x, exact, note=note)
+        val, x, exact = _box_infimum(a, b, c, dom)
+        return InfimumResult(val, x, exact, note="" if exact else "approximate (grid)")
     if isinstance(dom, FinitePointSet):
         pts = dom.points
         vals = 0.5 * np.einsum("ki,ij,kj->k", pts, a, pts) + pts @ b + c
@@ -569,37 +562,17 @@ def batch_orthant_infimum(a: np.ndarray, b: np.ndarray, c: np.ndarray):
 
 
 def batch_infimum(a: np.ndarray, b: np.ndarray, c: np.ndarray, dom: Domain):
-    """Infimum values of stacked quadratics over ``dom``; (values, flags)."""
+    """Infimum values of stacked quadratics over ``dom``; (values, flags).
+
+    The reals and the orthant up to ``N_ENUM_DEFAULT`` coordinates have
+    vectorized kernels; every other item goes through
+    :func:`quadratic_infimum_raw` and is never flagged.
+    """
     if isinstance(dom, Reals):
         return batch_real_infimum(a, b, c)
-    if isinstance(dom, NonnegOrthant):
+    if isinstance(dom, NonnegOrthant) and dom.dim <= N_ENUM_DEFAULT:
         return batch_orthant_infimum(a, b, c)
-    if isinstance(dom, FinitePointSet):
-        pts = dom.points
-        vals = (
-            0.5 * np.einsum("pi,kij,pj->kp", pts, a, pts)
-            + np.einsum("ki,pi->kp", b, pts)
-            + c[:, None]
-        )
-        return vals.min(axis=1), np.zeros(len(c), dtype=bool)
     values = np.empty(len(c))
     for i in range(len(c)):
-        values[i] = quadratic_infimum_raw(a[i], b[i], float(c[i]), dom)
+        values[i] = quadratic_infimum_raw(a[i], b[i], float(c[i]), dom).value
     return values, np.zeros(len(c), dtype=bool)
-
-
-def quadratic_infimum_raw(a: np.ndarray, b: np.ndarray, c: float, dom: Domain) -> float:
-    """Scalar infimum value from raw coefficient arrays (no validation)."""
-    if isinstance(dom, Reals):
-        return _real_infimum(a, b, c)[0]
-    if isinstance(dom, NonnegOrthant):
-        return _orthant_infimum(a, b, c)[0]
-    if isinstance(dom, UnitSphere):
-        return _sphere_infimum(a, b, c)[0]
-    if isinstance(dom, Box):
-        return _box_infimum(a, b, c, dom.lo, dom.hi)[0]
-    if isinstance(dom, FinitePointSet):
-        pts = dom.points
-        vals = 0.5 * np.einsum("ki,ij,kj->k", pts, a, pts) + pts @ b + c
-        return float(vals.min())
-    raise UnsupportedDomainError(f"unsupported domain {type(dom).__name__}")

@@ -412,27 +412,6 @@ def aggregate(fam: QuadraticFamily, w: WeightLike) -> QuadraticFunction:
     return QuadraticFunction(SymMatrix(a), b, c)
 
 
-def pseudo_inverse_apply(m: SymMatrix, v, cutoff: float = PINV_CUTOFF) -> Optional[np.ndarray]:
-    """Apply the eigenvalue-thresholded pseudo-inverse to ``v``.
-
-    Returns ``A^+ v`` when the component of ``v`` outside the retained
-    eigenspace has norm at most ``cutoff * (1 + ||v||)``; otherwise returns
-    None to signal that ``v`` is not in the numerical range.
-    """
-    v = _as_float_array(v, "vector").reshape(-1)
-    if v.shape[0] != m.n:
-        raise DimensionMismatchError("vector length does not match matrix dimension")
-    w, vec = sym_eigen(m)
-    thresh = cutoff * max(1.0, np.abs(w).max())
-    keep = np.abs(w) > thresh
-    beta = vec.T @ v
-    outside = np.linalg.norm(beta[~keep])
-    if outside > cutoff * (1.0 + np.linalg.norm(v)):
-        return None
-    result = vec[:, keep] @ (beta[keep] / w[keep]) if np.any(keep) else np.zeros_like(v)
-    return result
-
-
 # --------------------------------------------------------------------------
 # JSON encoding shared with the command-line front-end
 

@@ -26,7 +26,7 @@ from gordankit import (
     yuan_alternative,
     yuan_pencil_max,
 )
-from gordankit import engine
+from gordankit import engine, infimum
 from gordankit.errors import DimensionMismatchError
 from gordankit.infimum import batch_infimum
 from gordankit.sampling import (
@@ -169,6 +169,29 @@ class TestCertificateSoundness:
         fam, box = self._box_defect()
         report = characterization_probe(fam, box, 0.0, cfg)
         assert not report.a2_holds
+
+    def test_past_the_orthant_cap_no_route_enumerates(self, cfg, monkeypatch):
+        # Members share the null direction 1/sqrt(n) and have b > 0: every
+        # aggregate is singular PSD with infimum 1 at 0, which past the cap
+        # only the (inexact) projected descent reports, on every route.
+        n = infimum.N_ENUM_DEFAULT + 1
+        u = np.ones(n) / np.sqrt(n)
+        rng = rng_stream(61, 0)
+        members = []
+        for _ in range(2):
+            g = (np.eye(n) - np.outer(u, u)) @ rng.normal(size=(n, n - 1))
+            members.append(QuadraticFunction(SymMatrix(g @ g.T / n), np.abs(rng.normal(size=n)), 1.0))
+        calls = []
+        enumerate_faces = infimum._orthant_enumeration
+
+        def spy(*args):
+            calls.append(args[0].shape[0])
+            return enumerate_faces(*args)
+
+        monkeypatch.setattr(infimum, "_orthant_enumeration", spy)
+        out = decide_alternative(QuadraticFamily(tuple(members)), NonnegOrthant(n), cfg)
+        assert isinstance(out, Indeterminate)
+        assert calls == []
 
     def test_reals_past_sixteen_dimensions(self, cfg):
         fam = random_convex_family(17, 2, 3).shifted(-3.0)

@@ -15,7 +15,13 @@ from gordankit import (
     quadratic_infimum,
 )
 from gordankit import infimum
-from gordankit.infimum import batch_infimum, batch_orthant_infimum, batch_real_infimum, quadratic_infimum_raw
+from gordankit.infimum import (
+    N_ENUM_DEFAULT,
+    batch_infimum,
+    batch_orthant_infimum,
+    batch_real_infimum,
+    quadratic_infimum_raw,
+)
 from gordankit.sampling import grid_points, rng_stream, sphere_sample
 
 
@@ -186,7 +192,8 @@ class TestOrthantActiveSet:
                 declined += 1
             else:
                 assert abs(found[0] - enum_val) <= tol, (trial, kind, n)
-            assert abs(infimum._orthant_infimum(a, b, c)[0] - enum_val) <= tol, (trial, kind, n)
+            routed = quadratic_infimum_raw(a, b, c, NonnegOrthant(n)).value
+            assert abs(routed - enum_val) <= tol, (trial, kind, n)
             checked += 1
         assert checked >= 1000
         assert declined <= checked // 20
@@ -204,7 +211,7 @@ class TestOrthantActiveSet:
                 scale = 1.0 + np.abs(a).max() * np.abs(x).max() + np.abs(b).max()
                 assert _kkt_residual(a, b, x) <= 1e-8 * scale, kind
                 assert res.value == pytest.approx(0.5 * x @ a @ x + b @ x + c, abs=1e-12 * scale)
-                raw = quadratic_infimum_raw(a, b, c, NonnegOrthant(n))
+                raw = quadratic_infimum_raw(a, b, c, NonnegOrthant(n)).value
                 assert raw == pytest.approx(res.value, abs=1e-12 * (1.0 + abs(res.value)))
                 # No sampled orthant point beats the certified value.
                 pts = np.abs(rng.normal(size=(200, n))) * rng.uniform(0.0, 2.0, size=(200, 1))
@@ -350,3 +357,64 @@ class TestBatchInfimum:
         vals, flags = batch_infimum(a, b, c, dom)
         assert np.array_equal(vals, [0.0, -2.0])
         assert not flags.any()
+
+
+def _same_result(r1, r2):
+    assert r1.value == r2.value and r1.exact == r2.exact
+    for f1, f2 in ((r1.argmin, r2.argmin), (r1.direction, r2.direction)):
+        assert (f1 is None and f2 is None) or np.array_equal(f1, f2)
+
+
+class TestOneRoutingTable:
+    @staticmethod
+    def _singular_past_cap(n=N_ENUM_DEFAULT + 1):
+        # PSD with the null direction 1/sqrt(n) and b > 0: the infimum is c at 0,
+        # but the form is not positive definite, so past the cap it is inexact.
+        u = np.ones(n) / np.sqrt(n)
+        rng = rng_stream(61, 0)
+        g = (np.eye(n) - np.outer(u, u)) @ rng.normal(size=(n, n - 1))
+        return g @ g.T / n, np.abs(rng.normal(size=n)), 1.0
+
+    def test_past_the_cap_every_entry_point_descends(self, monkeypatch):
+        calls = []
+        real = infimum._orthant_enumeration
+
+        def spy(*args):
+            calls.append(args[0].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(infimum, "_orthant_enumeration", spy)
+        a, b, c = self._singular_past_cap()
+        dom = NonnegOrthant(b.shape[0])
+        res = quadratic_infimum(_quad(a, b, c), dom)
+        raw = quadratic_infimum_raw(a, b, c, dom)
+        vals, flags = batch_infimum(np.stack([a, a]), np.stack([b, b]), np.array([c, c]), dom)
+        assert not res.exact and not raw.exact
+        assert res.value == raw.value == vals[0] == vals[1] == pytest.approx(c, abs=1e-12)
+        assert not flags.any()
+        assert calls == []
+
+    def test_public_and_raw_agree_field_for_field(self):
+        rng = rng_stream(62, 0)
+        n = 3
+        g = rng.normal(size=(n, n))
+        pd = g @ g.T + np.eye(n)
+        indefinite = g + g.T - 4.0 * np.eye(n)
+        cases = [
+            (_quad(pd, rng.normal(size=n), 0.5), Reals(n)),
+            (_quad(indefinite, rng.normal(size=n), 0.0), Reals(n)),  # unbounded: negative curvature
+            (_quad(np.diag([1.0, 0.0, 2.0]), [0.0, 1.0, 0.0], 0.0), Reals(n)),  # unbounded: ray off range
+            (_quad(pd, rng.normal(size=n), 0.5), NonnegOrthant(n)),
+            (_quad(np.diag([1.0, 0.0, 2.0]), [0.0, -1.0, 0.0], 0.0), NonnegOrthant(n)),  # unbounded
+            (_quad(indefinite, rng.normal(size=n), 0.0), NonnegOrthant(n)),
+            (_quad(indefinite, rng.normal(size=n), 0.0), UnitSphere(n)),
+            (_quad(indefinite, rng.normal(size=n), 0.0), Box(-np.ones(n), 2.0 * np.ones(n))),
+            (_quad(np.eye(10), np.full(10, -0.37), 0.0), Box(-np.ones(10), np.ones(10))),  # grid
+            (_quad(indefinite, rng.normal(size=n), 0.0), FinitePointSet(rng.normal(size=(6, n)))),
+        ]
+        unbounded = 0
+        for q, dom in cases:
+            res = quadratic_infimum(q, dom)
+            _same_result(res, quadratic_infimum_raw(q.a.entries, q.b, q.c, dom))
+            unbounded += res.value == -np.inf
+        assert unbounded >= 3

@@ -16,7 +16,6 @@ from gordankit import (
     aggregate,
     eval_quadratic,
     is_psd,
-    pseudo_inverse_apply,
     sym_eigen,
 )
 from gordankit.quadratics import (
@@ -167,22 +166,6 @@ class TestAggregate:
             x = rng.normal(size=n)
             direct = sum(wj * eval_quadratic(qj, x) for wj, qj in zip(w, fam.members))
             assert eval_quadratic(agg, x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
-
-class TestPseudoInverseApply:
-    def test_identity(self):
-        out = pseudo_inverse_apply(SymMatrix.identity(2), [1.0, 2.0])
-        assert np.allclose(out, [1.0, 2.0])
-
-    def test_zero_matrix_not_in_range(self):
-        assert pseudo_inverse_apply(SymMatrix.zeros(2), [1.0, 0.0]) is None
-
-    def test_inverts_nonzero_eigenvalue_only(self):
-        out = pseudo_inverse_apply(SymMatrix(np.diag([2.0, 0.0])), [4.0, 0.0])
-        assert np.allclose(out, [2.0, 0.0])
-
-    def test_off_range_component_detected(self):
-        assert pseudo_inverse_apply(SymMatrix(np.diag([2.0, 0.0])), [4.0, 1.0]) is None
 
 
 class TestWeights:
