@@ -31,7 +31,7 @@ from .errors import (
     InternalConsistencyError,
     UnsupportedDomainError,
 )
-from .infimum import batch_infimum, quadratic_infimum, quadratic_infimum_raw
+from .infimum import InfimumResult, batch_infimum, quadratic_infimum, quadratic_infimum_raw
 from .quadratics import (
     Box,
     Domain,
@@ -142,10 +142,14 @@ def _aggregate_stacks(fam: QuadraticFamily, weights: np.ndarray):
     )
 
 
-def _aggregate_inf_scalar(fam: QuadraticFamily, t: np.ndarray, dom: Domain) -> float:
+def _aggregate_infimum(fam: QuadraticFamily, t: np.ndarray, dom: Domain) -> InfimumResult:
     a_s, b_s, c_s = fam.coefficient_stacks()
     a = np.einsum("m,mij->ij", t, a_s)
-    return quadratic_infimum_raw((a + a.T) / 2.0, t @ b_s, float(t @ c_s), dom).value
+    return quadratic_infimum_raw((a + a.T) / 2.0, t @ b_s, float(t @ c_s), dom)
+
+
+def _aggregate_inf_scalar(fam: QuadraticFamily, t: np.ndarray, dom: Domain) -> float:
+    return _aggregate_infimum(fam, t, dom).value
 
 
 def _effective_resolution(m: int, resolution: int) -> int:

@@ -183,9 +183,10 @@ def _test_level(p: QpProblem, gamma: float, cfg: EngineConfig,
     if warm_x is not None and fam.sup_at(warm_x) < -cfg.delta_strict:
         return "a1", np.asarray(warm_x, dtype=float).copy(), None
     if warm_t is not None:
-        from .engine import _aggregate_inf_scalar
+        from .engine import _aggregate_infimum
 
-        if _aggregate_inf_scalar(fam, warm_t, p.domain) >= -cfg.tol_cert:
+        res = _aggregate_infimum(fam, warm_t, p.domain)
+        if res.exact and res.value >= -cfg.tol_cert:
             return "a2", None, warm_t
     seeds = None if warm_x is None else np.atleast_2d(warm_x)
     x, sup_val = _search_feasible(fam, p.domain, cfg, extra_seeds=seeds)

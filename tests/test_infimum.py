@@ -30,6 +30,12 @@ def _quad(a, b, c):
     return QuadraticFunction(SymMatrix(a), b, c)
 
 
+def _same_result(r1, r2):
+    assert r1.value == r2.value and r1.exact == r2.exact
+    for f1, f2 in ((r1.argmin, r2.argmin), (r1.direction, r2.direction)):
+        assert (f1 is None and f2 is None) or np.array_equal(f1, f2)
+
+
 class TestRealsInfimum:
     def test_convex_parabola(self):
         res = quadratic_infimum(_quad([[1.0]], [0.0], 0.0), Reals(1))
@@ -44,10 +50,12 @@ class TestRealsInfimum:
         assert eval_quadratic(q, 100.0 * res.direction) < -50.0
 
     def test_indefinite_unbounded(self):
-        res = quadratic_infimum(_quad([[1.0, 2.0], [2.0, 1.0]], [0.0, 0.0], 0.0), Reals(2))
+        q = _quad([[1.0, 2.0], [2.0, 1.0]], [0.0, 0.0], 0.0)
+        res = quadratic_infimum(q, Reals(2))
         assert res.value == -np.inf
         d = res.direction
         assert 0.5 * d @ np.array([[1.0, 2.0], [2.0, 1.0]]) @ d < 0
+        _same_result(res, quadratic_infimum_raw(q.a.entries, q.b, q.c, Reals(2)))
 
     def test_shifted_minimum(self):
         # c - b^2/(2a) by completing the square.
@@ -84,10 +92,11 @@ class TestOrthantInfimum:
         assert res.value == pytest.approx(0.25, abs=1e-12)
 
     def test_negative_curvature_direction_unbounded(self):
-        res = quadratic_infimum(_quad([[-0.5]], [3.0], 0.0), NonnegOrthant(1))
-        assert res.value == -np.inf
         q = _quad([[-0.5]], [3.0], 0.0)
+        res = quadratic_infimum(q, NonnegOrthant(1))
+        assert res.value == -np.inf
         assert eval_quadratic(q, 1e4 * res.direction) < -1e6
+        _same_result(res, quadratic_infimum_raw(q.a.entries, q.b, q.c, NonnegOrthant(1)))
 
     def test_active_set_matches_convex_oracle(self):
         # Independent oracle: projected convex minimization (L-BFGS-B).
@@ -359,12 +368,6 @@ class TestBatchInfimum:
         assert not flags.any()
 
 
-def _same_result(r1, r2):
-    assert r1.value == r2.value and r1.exact == r2.exact
-    for f1, f2 in ((r1.argmin, r2.argmin), (r1.direction, r2.direction)):
-        assert (f1 is None and f2 is None) or np.array_equal(f1, f2)
-
-
 class TestOneRoutingTable:
     @staticmethod
     def _singular_past_cap(n=N_ENUM_DEFAULT + 1):
@@ -393,28 +396,3 @@ class TestOneRoutingTable:
         assert res.value == raw.value == vals[0] == vals[1] == pytest.approx(c, abs=1e-12)
         assert not flags.any()
         assert calls == []
-
-    def test_public_and_raw_agree_field_for_field(self):
-        rng = rng_stream(62, 0)
-        n = 3
-        g = rng.normal(size=(n, n))
-        pd = g @ g.T + np.eye(n)
-        indefinite = g + g.T - 4.0 * np.eye(n)
-        cases = [
-            (_quad(pd, rng.normal(size=n), 0.5), Reals(n)),
-            (_quad(indefinite, rng.normal(size=n), 0.0), Reals(n)),  # unbounded: negative curvature
-            (_quad(np.diag([1.0, 0.0, 2.0]), [0.0, 1.0, 0.0], 0.0), Reals(n)),  # unbounded: ray off range
-            (_quad(pd, rng.normal(size=n), 0.5), NonnegOrthant(n)),
-            (_quad(np.diag([1.0, 0.0, 2.0]), [0.0, -1.0, 0.0], 0.0), NonnegOrthant(n)),  # unbounded
-            (_quad(indefinite, rng.normal(size=n), 0.0), NonnegOrthant(n)),
-            (_quad(indefinite, rng.normal(size=n), 0.0), UnitSphere(n)),
-            (_quad(indefinite, rng.normal(size=n), 0.0), Box(-np.ones(n), 2.0 * np.ones(n))),
-            (_quad(np.eye(10), np.full(10, -0.37), 0.0), Box(-np.ones(10), np.ones(10))),  # grid
-            (_quad(indefinite, rng.normal(size=n), 0.0), FinitePointSet(rng.normal(size=(6, n)))),
-        ]
-        unbounded = 0
-        for q, dom in cases:
-            res = quadratic_infimum(q, dom)
-            _same_result(res, quadratic_infimum_raw(q.a.entries, q.b, q.c, dom))
-            unbounded += res.value == -np.inf
-        assert unbounded >= 3

@@ -119,6 +119,27 @@ class TestSolveLevelset:
         assert res.status == "unbounded"
         assert res.value == -np.inf
 
+    def test_inexact_warm_certificate_is_not_reused(self, cfg):
+        # Past the orthant enumeration cap, a Z-matrix objective with the tiny
+        # negative eigenvalue -1e-6 (eigenvector (1, 1, 0, ...)) is unbounded
+        # below on x >= 0, but the projected descent stops short of it.  The
+        # warm weight's inexact aggregate value sits above 0 and must not be
+        # taken as a certificate: the level -1e-3 is achievable.
+        from gordankit.infimum import N_ENUM_DEFAULT, quadratic_infimum
+        from gordankit.qp import _level_family, _test_level
+
+        n = N_ENUM_DEFAULT + 1
+        a = np.eye(n)
+        a[0, 1] = a[1, 0] = -(1.0 + 1e-6)
+        obj = QuadraticFunction(SymMatrix(a), np.zeros(n), 0.0)
+        cons = QuadraticFamily((QuadraticFunction.linear(-np.eye(n)[0], 0.0),))
+        p = QpProblem(obj, cons, NonnegOrthant(n))
+        gamma, warm_t = -1e-3, np.array([1.0, 0.0])
+        inexact = quadratic_infimum(_level_family(p, gamma).members[0], p.domain)
+        assert not inexact.exact and inexact.value >= 0.0
+        verdict, _, _ = _test_level(p, gamma, cfg, None, warm_t)
+        assert verdict != "a2"
+
     def test_bracket_is_ordered(self, cfg):
         res = solve_levelset(_p_affine(), cfg)
         lo, hi = res.bracket
