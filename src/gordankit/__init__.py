@@ -17,12 +17,9 @@ from .engine import (
     EngineConfig,
     FeasiblePoint,
     Indeterminate,
-    PositivityReport,
     ProbeReport,
     characterization_probe,
     decide_alternative,
-    lemma_min_bound_check,
-    positive_normalized_check,
     yuan_alternative,
     yuan_pencil_max,
 )

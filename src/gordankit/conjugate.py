@@ -1,10 +1,12 @@
 """Fenchel conjugates of quadratics and of suprema of quadratic families.
 
 The conjugate of a single quadratic has a closed form through the
-eigenvalue-thresholded pseudo-inverse; the conjugate of a supremum is
-evaluated as a minimum of aggregate conjugates over the probability
-simplex, with a brute-force grid oracle for comparison.  Infinite values
-are tagged, never encoded as sentinel floats.
+eigenvalue-thresholded pseudo-inverse.  The conjugate of a supremum is
+evaluated as min_t (sum_j t_j q_j)*(y) = -max_t inf_x sum_j t_j (q_j(x) - y.x),
+the certificate search's maximization on the tilted family {q_j - y.x};
+by weak duality each aggregate conjugate bounds (max_j q_j)*(y) from above.
+A brute-force grid oracle gives a lower bound for comparison.  Infinite
+values are tagged, never encoded as sentinel floats.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import EngineConfig, simplex_pairwise_max
+from .engine import EngineConfig, _maximize_infimum, _minimax_1d
 from .errors import DimensionMismatchError
-from .infimum import quadratic_infimum, batch_real_infimum
+from .infimum import _simplex_quadform_min, quadratic_infimum
 from .quadratics import (
     Box,
     QuadraticFamily,
@@ -90,6 +92,8 @@ class ConjugateSupResult:
 def conjugate_sup_min(fam: QuadraticFamily, y, cfg: EngineConfig) -> ConjugateSupResult:
     """min over simplex weights of the aggregate's conjugate at ``y``.
 
+    The search starts from a lattice of resolution at most 64; the value is
+    the closed-form conjugate of the aggregate at the weight it returns.
     Under the applicability hypothesis (the shifted family is infsup-convex,
     automatic for all-convex members, or for bordered-Z families with
     nonnegative ``y``), this minimum equals the conjugate of the pointwise
@@ -102,27 +106,10 @@ def conjugate_sup_min(fam: QuadraticFamily, y, cfg: EngineConfig) -> ConjugateSu
     z_route = bool(z_family_report(fam).family_is_z and y.min() >= 0.0)
     convex_route = all(is_psd(q.a) for q in fam.members)
 
-    m = fam.size
     r = min(cfg.simplex_grid_resolution, 64)
-    lattice = shared_simplex_lattice(m, r)
-    a_s, b_s, c_s = fam.coefficient_stacks()
-    a = np.einsum("km,mij->kij", lattice, a_s)
-    b = lattice @ b_s - y
-    c = lattice @ c_s
-    inf_vals, flags = batch_real_infimum(a, b, c)
-    conj = -inf_vals  # +inf where the aggregate conjugate is infinite
-
-    def conj_at(t: np.ndarray) -> float:
-        return conjugate_quadratic(aggregate(fam, t), y).as_float()
-
-    for i in np.where(flags)[0]:
-        conj[i] = conj_at(lattice[i])
-    best = int(np.argmin(conj))
-    t = lattice[best].copy()
-    best_val = conj_at(t)
-    if np.isfinite(best_val):
-        # The map t -> conjugate(aggregate) is convex; maximize its negation.
-        t, _ = simplex_pairwise_max(lambda w: -conj_at(w), t, -best_val)
+    tilted = QuadraticFamily(tuple(QuadraticFunction(q.a, q.b - y, q.c) for q in fam.members))
+    t, _ = _maximize_infimum(tilted, Reals(fam.dim), shared_simplex_lattice(fam.size, r),
+                             stop_at=math.inf)
 
     weight = SimplexWeight(t)
     value = conjugate_quadratic(aggregate(fam, t), y)
@@ -223,9 +210,6 @@ def _piecewise_ascent(fam: QuadraticFamily, y: np.ndarray, x0: np.ndarray, box: 
     gradients of g (exact via quadratic-over-simplex minimization); step:
     exact 1-D minimax line search.  Finishes with coordinate sweeps.
     """
-    from .engine import _minimax_1d
-    from .infimum import _simplex_quadform_min
-
     a_s, b_s, _ = fam.coefficient_stacks()
     n = x0.shape[0]
     x = x0.copy()

@@ -3,15 +3,22 @@
 Given a family {q_1, ..., q_m} and a feasible set X, exactly one of the
 following holds for infsup-convex families: (a1) some x in X has
 sup_j q_j(x) < alpha, or (a2) some simplex weight t has
-inf_X sum_j t_j q_j >= alpha.  The engine searches both sides and reports a
-feasible point, a certificate, or an explicit indeterminate band when
-neither search clears its threshold.  All reported margins and infima are
-relative to the level alpha.
+inf_X sum_j t_j q_j >= alpha.  On any family weak duality,
+inf_X sum_j t_j q_j <= sum_j t_j q_j(x) <= max_j q_j(x) for every x in X
+and every t, keeps the two apart.  Reported margins and infima are relative
+to the level alpha.
+
+One decision sequence (:func:`_decide`) serves :func:`decide_alternative`
+and the QP level tests: a feasible search, a certificate search, and a
+second feasible search seeded at the aggregate's argmin, which runs only
+when the certificate search returned one.  It reports a feasible point, a
+certificate, or an explicit indeterminate band when neither search clears
+its threshold.
 
 The certificate search stops at the first certifying weight: it tries the
-barycentre 1/m, then the best weight of a simplex lattice, then refines
-that weight pairwise.  Every certificate rests on one exact infimum at the
-reported weight.
+barycentre 1/m, then refines the best weight of a simplex lattice pairwise
+(:func:`_maximize_infimum`, which also evaluates conjugates of suprema).
+Every certificate rests on one exact infimum at the reported weight.
 
 Searches are deterministic: identical inputs and seed give identical
 outcomes byte for byte.
@@ -467,13 +474,11 @@ def simplex_pairwise_max(h, t0: np.ndarray, h0: float, stop_at: float = math.inf
     return t, best
 
 
-def _refine_weight(fam: QuadraticFamily, dom: Domain, t0: np.ndarray, inf0: float):
-    """Refine the lattice's best weight for the (concave) aggregate infimum.
-
-    Stops as soon as the infimum reaches 0, the level of a certificate.
-    """
+def _refine_weight(fam: QuadraticFamily, dom: Domain, t0: np.ndarray, inf0: float,
+                   stop_at: float):
+    """Refine a weight for the (concave) aggregate infimum until it reaches ``stop_at``."""
     return simplex_pairwise_max(lambda t: _aggregate_inf_scalar(fam, t, dom), t0, inf0,
-                                stop_at=0.0)
+                                stop_at=stop_at)
 
 
 def _lattice_infima(fam: QuadraticFamily, lattice: np.ndarray, dom: Domain) -> np.ndarray:
@@ -489,6 +494,23 @@ def _lattice_infima(fam: QuadraticFamily, lattice: np.ndarray, dom: Domain) -> n
             vals[i] = _aggregate_inf_scalar(fam, block[i], dom)
         values[start:start + len(block)] = vals
     return values
+
+
+def _maximize_infimum(fam: QuadraticFamily, dom: Domain, lattice: np.ndarray, stop_at: float):
+    """Maximize the aggregate infimum over the simplex, starting from ``lattice``.
+
+    The best lattice weight is refined pairwise until its infimum reaches
+    ``stop_at``; when every lattice aggregate is unbounded below, the
+    refinement starts from the barycentre instead.  Returns ``(t, inf)``.
+    """
+    values = _lattice_infima(fam, lattice, dom)
+    best_idx = int(np.argmax(values))
+    if np.isfinite(values[best_idx]):
+        t0, inf0 = lattice[best_idx].copy(), float(values[best_idx])
+    else:
+        t0 = np.full(fam.size, 1.0 / fam.size)
+        inf0 = _aggregate_inf_scalar(fam, t0, dom)
+    return _refine_weight(fam, dom, t0, inf0, stop_at)
 
 
 def _search_certificate(fam: QuadraticFamily, dom: Domain, cfg: EngineConfig,
@@ -512,18 +534,10 @@ def _search_certificate(fam: QuadraticFamily, dom: Domain, cfg: EngineConfig,
     res = quadratic_infimum(aggregate(fam, bary), dom)
     if m == 1 or (res.exact and res.value >= 0.0):
         return bary, res.value, res.argmin, res.exact
-    r = _effective_resolution(m, cfg.simplex_grid_resolution)
-    lattice = shared_simplex_lattice(m, r)
+    lattice = shared_simplex_lattice(m, _effective_resolution(m, cfg.simplex_grid_resolution))
     if seed_weight is not None:
         lattice = np.vstack([lattice, seed_weight.reshape(1, -1)])
-    values = _lattice_infima(fam, lattice, dom)
-    best_idx = int(np.argmax(values))
-    if np.isfinite(values[best_idx]):
-        t0, inf0 = lattice[best_idx].copy(), float(values[best_idx])
-    else:
-        # Every lattice aggregate is unbounded below; start from the barycentre.
-        t0, inf0 = bary, res.value
-    t, _ = _refine_weight(fam, dom, t0, inf0)
+    t, _ = _maximize_infimum(fam, dom, lattice, stop_at=0.0)
     res = quadratic_infimum(aggregate(fam, t), dom)
     return t, res.value, res.argmin, res.exact
 
@@ -539,36 +553,40 @@ def _check_dims(fam: QuadraticFamily, dom: Domain):
         )
 
 
+def _decide(fam: QuadraticFamily, dom: Domain, cfg: EngineConfig,
+            extra_seeds: Optional[np.ndarray] = None,
+            seed_weight: Optional[np.ndarray] = None) -> AlternativeOutcome:
+    """The decision sequence at level 0 on a family already shifted by alpha.
+
+    The second feasible search needs the argmin of the certificate search's
+    aggregate; without one it would repeat the first search.
+    """
+    x1, sup1 = _search_feasible(fam, dom, cfg, extra_seeds=extra_seeds)
+    if sup1 < -cfg.delta_strict:
+        return FeasiblePoint(x1, sup1)
+
+    t, inf_val, agg_argmin, exact = _search_certificate(fam, dom, cfg, seed_weight=seed_weight)
+    if exact and inf_val >= -cfg.tol_cert:
+        return Certificate(SimplexWeight(t), inf_val)
+
+    if agg_argmin is not None:
+        x2, sup2 = _search_feasible(fam, dom, cfg, extra_seeds=np.atleast_2d(agg_argmin))
+        if sup2 < -cfg.delta_strict:
+            return FeasiblePoint(x2, sup2)
+        if sup2 < sup1:
+            x1, sup1 = x2, sup2
+    return Indeterminate(x1, sup1, SimplexWeight(t), inf_val)
+
+
 def decide_alternative(fam: QuadraticFamily, dom: Domain, cfg: EngineConfig) -> AlternativeOutcome:
     """Decide which alternative holds at level ``cfg.alpha``.
 
     Returns a FeasiblePoint (margin and infima reported relative to alpha),
     a Certificate whose aggregate infimum re-verifies against the stated
-    tolerance, or an Indeterminate carrying both near-witnesses.  The
-    feasible search runs first; the certificate search then tries the
-    barycentre, the simplex lattice and pairwise refinement, in that order,
-    and a second feasible search seeded at the aggregate's argmin follows
-    only if no certificate was found.
+    tolerance, or an Indeterminate carrying both near-witnesses.
     """
     _check_dims(fam, dom)
-    shifted = fam.shifted(cfg.alpha)
-
-    x1, sup1 = _search_feasible(shifted, dom, cfg)
-    if sup1 < -cfg.delta_strict:
-        return FeasiblePoint(x1, sup1)
-
-    t, inf_val, agg_argmin, exact = _search_certificate(shifted, dom, cfg)
-    if exact and inf_val >= -cfg.tol_cert:
-        return Certificate(SimplexWeight(t), inf_val)
-
-    seeds = None if agg_argmin is None else np.atleast_2d(agg_argmin)
-    x2, sup2 = _search_feasible(shifted, dom, cfg, extra_seeds=seeds)
-    if sup2 < -cfg.delta_strict:
-        return FeasiblePoint(x2, sup2)
-
-    if sup2 < sup1:
-        x1, sup1 = x2, sup2
-    return Indeterminate(x1, sup1, SimplexWeight(t), inf_val)
+    return _decide(fam.shifted(cfg.alpha), dom, cfg)
 
 
 def characterization_probe(fam: QuadraticFamily, dom: Domain, alpha: float,
@@ -675,63 +693,3 @@ def yuan_alternative(a1: SymMatrix, a2: SymMatrix, dom: Domain, cfg: EngineConfi
     if phi < -cfg.delta_strict:
         return FeasiblePoint(x, phi)
     return Indeterminate(x, phi, weights, 0.5 * lam_star)
-
-
-# --------------------------------------------------------------------------
-# Elementary functional checks
-
-
-def lemma_min_bound_check(values, L, t, slack: float = 1e-12) -> bool:
-    """Check min_j L(row_j) <= max_col sum_j t_j values[j, col] + slack.
-
-    ``values`` is an (m, k) matrix of bounded value vectors; ``L`` is a
-    simplex weight over the k columns and ``t`` one over the m rows.  The
-    inequality is a theorem, so this always returns True on valid input.
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 2:
-        raise DimensionMismatchError("values must be a 2-D array")
-    lv = L.t if isinstance(L, SimplexWeight) else np.asarray(L, dtype=float)
-    tv = t.t if isinstance(t, SimplexWeight) else np.asarray(t, dtype=float)
-    if lv.shape[0] != vals.shape[1] or tv.shape[0] != vals.shape[0]:
-        raise DimensionMismatchError("weight lengths must match the value matrix")
-    lhs = (vals @ lv).min()
-    rhs = (tv @ vals).max()
-    return bool(lhs <= rhs + slack)
-
-
-@dataclass(frozen=True, eq=False)
-class PositivityReport:
-    is_simplex: bool
-    violating_probe: Optional[np.ndarray]
-    probe_value: Optional[float] = None
-    probe_max: Optional[float] = None
-
-
-def positive_normalized_check(L, probes, tol_weight: float = 1e-9) -> PositivityReport:
-    """Test whether a linear functional is positive and normalized.
-
-    When it is, the sup bound L(phi) <= max(phi) is asserted on every probe.
-    When it is not, a violating probe is constructed: minus a basis vector
-    at a negative coordinate, or plus/minus the all-ones vector for a
-    normalization failure.
-    """
-    lv = np.asarray(L, dtype=float).reshape(-1)
-    probe_list = [np.asarray(p, dtype=float).reshape(-1) for p in probes]
-    for p in probe_list:
-        if p.shape[0] != lv.shape[0]:
-            raise DimensionMismatchError("probe length must match the functional")
-    neg = np.where(lv < -tol_weight)[0]
-    total = lv.sum()
-    if neg.size:
-        probe = np.zeros_like(lv)
-        probe[neg[0]] = -1.0
-        return PositivityReport(False, probe, float(lv @ probe), float(probe.max()))
-    if abs(total - 1.0) > tol_weight:
-        probe = np.ones_like(lv) if total > 1.0 else -np.ones_like(lv)
-        return PositivityReport(False, probe, float(lv @ probe), float(probe.max()))
-    for p in probe_list:
-        lhs = float(lv @ p)
-        if lhs > p.max() + 1e-12 * (1.0 + np.abs(p).max()):  # pragma: no cover
-            return PositivityReport(True, p, lhs, float(p.max()))
-    return PositivityReport(True, None)

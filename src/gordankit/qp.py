@@ -1,28 +1,36 @@
 """Quadratic programs with bordered-Z-matrix data, solved by level-set bisection.
 
-The feasibility test at each level is the alternative engine run on the
-augmented family {q - gamma} + constraints: a feasible point means the level
-is achievable, a certificate means it is too low.  Optimality is certified
-by Fritz John multipliers (normalized y + sum u = 1), found by the engine's
-pairwise simplex search (``simplex_pairwise_max``) and verified through
-exact aggregate infima, and by KKT checks with sampled cross-validation.
+Each level gamma is decided on the family {q - gamma} + constraints by two
+warm fast paths and then the engine's decision sequence, whose second
+feasible search needs an argmin from the certificate search.  A feasible
+point means the level is achievable; a certificate t means it is too low,
+by weak duality: inf_X (t_0 (q - gamma) + sum_j t_j g_j) <=
+max(q(x) - gamma, max_j g_j(x)) for every x in X.  ``cfg.alpha`` is
+ignored; the Slater check decides the constraints at level 0.  Optimality
+is certified by Fritz John multipliers (normalized y + sum u = 1), found by
+the engine's pairwise simplex search (``simplex_pairwise_max``) and
+verified through exact aggregate infima, and by KKT checks with sampled
+cross-validation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .engine import (
+    AlternativeOutcome,
+    Certificate,
     EngineConfig,
     FeasiblePoint,
-    Certificate,
-    decide_alternative,
+    _aggregate_infimum,
+    _decide,
     _search_certificate,
     _search_feasible,
+    decide_alternative,
     simplex_pairwise_max,
 )
 from .errors import (
@@ -38,11 +46,13 @@ from .quadratics import (
     QuadraticFamily,
     QuadraticFunction,
     Reals,
+    SimplexWeight,
     aggregate,
     eval_quadratic,
+    is_psd,
 )
 from .sampling import rng_stream, shared_simplex_lattice
-from .zmatrix import z_family_report
+from .zmatrix import bordered, is_z_matrix, z_family_report
 
 TOL_BISECT = 1e-8
 ATTAIN_TOL = 1e-6
@@ -72,9 +82,6 @@ class QpProblem:
             )
         if self.objective.dim != self.constraints.dim or self.objective.dim != self.domain.dim:
             raise DimensionMismatchError("objective, constraints, and domain dimensions differ")
-        from .quadratics import is_psd
-        from .zmatrix import bordered, is_z_matrix
-
         flag, offenders = is_z_matrix(bordered(self.objective))
         report = z_family_report(self.constraints)
         if flag and report.family_is_z:
@@ -148,10 +155,11 @@ class KktReport:
 def slater_check(p: QpProblem, cfg: EngineConfig) -> Optional[np.ndarray]:
     """A strictly feasible point for the constraints, or None when certified out.
 
+    The constraints are tested at level 0 whatever ``cfg.alpha`` is.
     Raises IndeterminateOutcomeError when the constraint alternative lands
     in the tolerance band.
     """
-    outcome = decide_alternative(p.constraints, p.domain, cfg)
+    outcome = decide_alternative(p.constraints, p.domain, replace(cfg, alpha=0.0))
     if isinstance(outcome, FeasiblePoint):
         return outcome.x
     if isinstance(outcome, Certificate):
@@ -167,39 +175,28 @@ def _level_family(p: QpProblem, gamma: float) -> QuadraticFamily:
 def _level_config(cfg: EngineConfig) -> EngineConfig:
     """A lighter search budget for the many per-level tests; warm seeds
     carry most of the work between bisection steps."""
-    from dataclasses import replace
-
     return replace(cfg, multistart_count=min(cfg.multistart_count, 32),
                    refine_iters=min(cfg.refine_iters, 120))
 
 
 def _test_level(p: QpProblem, gamma: float, cfg: EngineConfig,
-                warm_x: Optional[np.ndarray], warm_t: Optional[np.ndarray]):
-    """Classify a level as achievable ('a1'), too low ('a2'), or unresolved."""
+                warm_x: Optional[np.ndarray], warm_t: Optional[np.ndarray]) -> AlternativeOutcome:
+    """Decide a level: a FeasiblePoint means it is achievable, a Certificate
+    that it is too low, and an Indeterminate leaves it unresolved."""
     cfg = _level_config(cfg)
     fam = _level_family(p, gamma)
     # Warm fast paths: re-evaluating the previous witness or certificate at
     # the new level settles most bisection steps without a fresh search.
-    if warm_x is not None and fam.sup_at(warm_x) < -cfg.delta_strict:
-        return "a1", np.asarray(warm_x, dtype=float).copy(), None
+    if warm_x is not None:
+        sup_val = fam.sup_at(warm_x)
+        if sup_val < -cfg.delta_strict:
+            return FeasiblePoint(np.asarray(warm_x, dtype=float).copy(), sup_val)
     if warm_t is not None:
-        from .engine import _aggregate_infimum
-
         res = _aggregate_infimum(fam, warm_t, p.domain)
         if res.exact and res.value >= -cfg.tol_cert:
-            return "a2", None, warm_t
+            return Certificate(SimplexWeight(warm_t), res.value)
     seeds = None if warm_x is None else np.atleast_2d(warm_x)
-    x, sup_val = _search_feasible(fam, p.domain, cfg, extra_seeds=seeds)
-    if sup_val < -cfg.delta_strict:
-        return "a1", x, None
-    t, inf_val, agg_argmin, exact = _search_certificate(fam, p.domain, cfg, seed_weight=warm_t)
-    if exact and inf_val >= -cfg.tol_cert:
-        return "a2", None, t
-    if agg_argmin is not None:
-        x2, sup2 = _search_feasible(fam, p.domain, cfg, extra_seeds=np.atleast_2d(agg_argmin))
-        if sup2 < -cfg.delta_strict:
-            return "a1", x2, None
-    return "band", x, t
+    return _decide(fam, p.domain, cfg, extra_seeds=seeds, seed_weight=warm_t)
 
 
 def _kkt_newton_polish(p: QpProblem, x0: np.ndarray, iters: int = 30):
@@ -302,15 +299,15 @@ def solve_levelset(p: QpProblem, cfg: EngineConfig, tol_bisect: float = TOL_BISE
         upper0 = upper
         while gap <= UNBOUNDED_SPAN * (1.0 + abs(upper0)):
             gamma = upper0 - gap
-            verdict, x_w, t_w = _test_level(p, gamma, cfg, x_best, warm_t)
+            outcome = _test_level(p, gamma, cfg, x_best, warm_t)
             iterations += 1
-            if verdict == "a2":
+            if isinstance(outcome, Certificate):
                 lower = gamma
-                warm_t = t_w
+                warm_t = outcome.weights.t
                 break
-            if verdict == "a1":
-                x_best = x_w
-                upper = min(upper, eval_quadratic(p.objective, x_w))
+            if isinstance(outcome, FeasiblePoint):
+                x_best = outcome.x
+                upper = min(upper, eval_quadratic(p.objective, outcome.x))
             gap *= 8.0
         if lower is None:
             diagnostics["last_witness_value"] = upper
@@ -318,34 +315,28 @@ def solve_levelset(p: QpProblem, cfg: EngineConfig, tol_bisect: float = TOL_BISE
                                   (-math.inf, upper), diagnostics)
 
     band_hits = 0
+    offset = False  # after a band hit: an off-centre level usually leaves the band
     history = [(lower, upper)]
-    while upper - lower > tol_bisect and iterations < MAX_BISECT:
-        gamma = 0.5 * (lower + upper)
-        verdict, x_w, t_w = _test_level(p, gamma, cfg, x_best, warm_t)
+    while offset or (upper - lower > tol_bisect and iterations < MAX_BISECT):
+        gamma = lower + 0.75 * (upper - lower) if offset else 0.5 * (lower + upper)
+        outcome = _test_level(p, gamma, cfg, x_best, warm_t)
         iterations += 1
-        if verdict == "a1":
-            x_best = x_w
-            upper = min(upper, eval_quadratic(p.objective, x_w))
-        elif verdict == "a2":
+        if isinstance(outcome, FeasiblePoint):
+            x_best = outcome.x
+            upper = min(upper, eval_quadratic(p.objective, outcome.x))
+        elif isinstance(outcome, Certificate):
             lower = gamma
-            warm_t = t_w
-        else:
+            warm_t = outcome.weights.t
+        else:  # in the band: retry once at the off-centre level
+            if offset:
+                break
             band_hits += 1
             diagnostics["band_at"] = gamma
             if band_hits >= 2:
                 break
-            # Offset probe: an off-center level usually leaves the band.
-            gamma2 = lower + 0.75 * (upper - lower)
-            verdict2, x_w2, t_w2 = _test_level(p, gamma2, cfg, x_best, warm_t)
-            iterations += 1
-            if verdict2 == "a1":
-                x_best = x_w2
-                upper = min(upper, eval_quadratic(p.objective, x_w2))
-            elif verdict2 == "a2":
-                lower = gamma2
-                warm_t = t_w2
-            else:
-                break
+            offset = True
+            continue
+        offset = False
         history.append((lower, upper))
 
     polished = _kkt_newton_polish(p, x_best)

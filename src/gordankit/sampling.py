@@ -106,17 +106,11 @@ def grid_points(box: Box, resolution) -> np.ndarray:
 def grid_min(f, box: Box, resolution):
     """Minimum of ``f`` over the regular grid of the box.
 
-    ``f`` may accept a (K, n) batch and return K values; otherwise it is
-    called pointwise.  Ties break to the lexicographically smallest grid
-    index.
+    ``f`` takes the (K, n) batch of grid points and returns K values.  Ties
+    break to the lexicographically smallest grid index.
     """
     pts = grid_points(box, resolution)
-    try:
-        vals = np.asarray(f(pts), dtype=float).reshape(-1)
-        if vals.shape[0] != pts.shape[0]:
-            raise TypeError
-    except Exception:
-        vals = np.array([float(f(p)) for p in pts])
+    vals = np.asarray(f(pts), dtype=float).reshape(-1)
     idx = int(np.argmin(vals))
     return float(vals[idx]), pts[idx].copy()
 

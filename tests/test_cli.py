@@ -79,6 +79,24 @@ class TestHappyPaths:
         assert body["kkt"]["u"][0] == pytest.approx(1.0, abs=1e-5)
         assert body["kkt"]["valid"] is True
 
+    def test_qp_slater_point_ignores_alpha(self, tmp_path, capsys):
+        # min 1/2 x^2 - x subject to x^2 - 1 <= 0: x = 0 is strictly feasible
+        # whatever decision level --alpha names.
+        path = _write(tmp_path, "slater.json", {
+            "version": 1, "kind": "qp", "dimension": 1,
+            "domain": {"type": "reals", "dim": 1},
+            "objective": {"A": [[1.0]], "b": [-1.0], "c": 0.0},
+            "family": [{"A": [[2.0]], "b": [0.0], "c": -1.0}],
+        })
+        results = []
+        for alpha in ("0", "-2"):
+            code, out = _run(capsys, ["qp", path, "--alpha", alpha])
+            assert code == 0
+            results.append(json.loads(out)["result"])
+        assert results[0]["slater_point"] == [0.0]
+        assert results[1]["slater_point"] == results[0]["slater_point"]
+        assert results[1]["value"] == results[0]["value"]
+
     def test_zcheck(self, tmp_path, capsys):
         path = _write(tmp_path, "z.json", {
             "version": 1, "kind": "zcheck", "dimension": 1,

@@ -3,6 +3,7 @@ import pytest
 
 from gordankit import (
     Box,
+    EngineConfig,
     QuadraticFamily,
     QuadraticFunction,
     SymMatrix,
@@ -102,6 +103,17 @@ class TestConjugateSupMin:
         fam = QuadraticFamily((QuadraticFunction.linear([1.0]), QuadraticFunction.linear([2.0])))
         res = conjugate_sup_min(fam, [-1.0], cfg)
         assert not res.value.is_finite
+
+    def test_finite_minimum_off_an_all_infinite_lattice(self):
+        # q1 = x + 1, q2 = -3x + 1 at y = 0: the aggregate conjugate is finite
+        # only at t = (0.75, 0.25), where it equals -1 = (max_j q_j)*(0).  The
+        # resolution-2 lattice {(0, 1), (1/2, 1/2), (1, 0)} misses it, so the
+        # search starts from the barycentre, as the certificate search does.
+        fam = QuadraticFamily((QuadraticFunction.linear([1.0], 1.0),
+                               QuadraticFunction.linear([-3.0], 1.0)))
+        res = conjugate_sup_min(fam, [0.0], EngineConfig(simplex_grid_resolution=2))
+        assert res.value.is_finite and res.value.value == pytest.approx(-1.0, abs=1e-9)
+        assert np.abs(res.t.t - [0.75, 0.25]).max() <= 1e-9
 
     def test_route_flags(self, cfg):
         zfam = random_z_family(2, 2, 5)

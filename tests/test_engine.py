@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gordankit import (
     Box,
@@ -20,8 +18,6 @@ from gordankit import (
     aggregate,
     characterization_probe,
     decide_alternative,
-    lemma_min_bound_check,
-    positive_normalized_check,
     quadratic_infimum,
     yuan_alternative,
     yuan_pencil_max,
@@ -316,15 +312,16 @@ class TestCertificateSearchOrder:
         starts = []
         refine = engine._refine_weight
 
-        def spy(fam, dom, t0, inf0):
-            starts.append((t0.copy(), inf0))
-            return refine(fam, dom, t0, inf0)
+        def spy(fam, dom, t0, inf0, stop_at):
+            starts.append((t0.copy(), inf0, stop_at))
+            return refine(fam, dom, t0, inf0, stop_at)
 
         monkeypatch.setattr(engine, "_refine_weight", spy)
         t, inf_val, _, exact = engine._search_certificate(
             fam, Reals(1), EngineConfig(simplex_grid_resolution=2))
         assert len(starts) == 1
         assert np.array_equal(starts[0][0], [0.5, 0.5]) and starts[0][1] == -np.inf
+        assert starts[0][2] == 0.0  # the refinement stops at the certificate level
         assert exact and np.abs(t - [0.75, 0.25]).max() <= 1e-9
         assert inf_val == pytest.approx(1.0, abs=1e-9)
 
@@ -384,6 +381,29 @@ class TestFinitePointSetEngine:
         assert isinstance(out, Indeterminate)
         assert out.best_sup == pytest.approx(0.5)   # 1 - alpha
         assert out.best_inf == pytest.approx(-0.5, abs=1e-9)  # 0 - alpha
+
+    def test_no_repeated_feasible_search_without_an_argmin(self, cfg, monkeypatch):
+        # The game LP returns no argmin, so a second feasible search would
+        # only repeat the first: one search, and the same band as above.
+        from dataclasses import replace
+
+        calls = []
+        search = engine._search_feasible
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("extra_seeds"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_search_feasible", spy)
+        fam = _linear_family((1.0, 0.0), (-1.0, 0.0))
+        dom = FinitePointSet([[-1.0], [1.0]])
+        out = decide_alternative(fam, dom, replace(cfg, alpha=0.5))
+        assert calls == [None]
+        assert isinstance(out, Indeterminate)
+        assert out.best_sup == pytest.approx(0.5)
+        assert abs(out.best_point[0]) == 1.0
+        assert out.best_inf == pytest.approx(-0.5, abs=1e-9)
+        assert np.allclose(out.best_weight.t, [0.5, 0.5])
 
 
 class TestYuanPencil:
@@ -474,57 +494,3 @@ class TestCharacterizationProbe:
         assert report.verdict == "a2"
         assert np.allclose(report.certificate_weight.t, [0.5, 0.5])
 
-
-class TestLemmaMinBound:
-    def test_worked_example(self):
-        assert lemma_min_bound_check([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], [0.5, 0.5])
-
-    def test_single_row_reduces_to_sup_bound(self):
-        assert lemma_min_bound_check([[-1.0, 1.0]], [0.5, 0.5], [1.0])
-
-    def test_random_instances_always_true(self):
-        rng = rng_stream(15, 0)
-        for _ in range(1000):
-            m = int(rng.integers(1, 7))
-            k = int(rng.integers(1, 7))
-            vals = rng.normal(size=(m, k)) * rng.uniform(0.1, 10)
-            L = rng.dirichlet(np.ones(k))
-            t = rng.dirichlet(np.ones(m))
-            assert lemma_min_bound_check(vals, L, t)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            lemma_min_bound_check([[1.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
-
-
-class TestPositiveNormalizedCheck:
-    def test_simplex_passes_probes(self):
-        rng = rng_stream(16, 0)
-        probes = rng.normal(size=(50, 2))
-        report = positive_normalized_check([0.5, 0.5], probes)
-        assert report.is_simplex and report.violating_probe is None
-
-    def test_negative_entry_yields_basis_probe(self):
-        report = positive_normalized_check([2.0, -1.0], [])
-        assert not report.is_simplex
-        assert np.array_equal(report.violating_probe, [0.0, -1.0])
-        assert report.probe_value == pytest.approx(1.0)
-        assert report.probe_max == pytest.approx(0.0)
-        assert report.probe_value > report.probe_max
-
-    def test_normalization_failure_yields_ones_probe(self):
-        report = positive_normalized_check([0.5, 0.25], [])
-        assert not report.is_simplex
-        assert np.array_equal(report.violating_probe, [-1.0, -1.0])
-        assert report.probe_value == pytest.approx(-0.75)
-        assert report.probe_max == pytest.approx(-1.0)
-        assert report.probe_value > report.probe_max
-
-    @given(st.integers(0, 2_000))
-    def test_simplex_bound_holds_on_random_probes(self, seed):
-        rng = rng_stream(seed, 17)
-        k = int(rng.integers(1, 8))
-        L = rng.dirichlet(np.ones(k))
-        probes = rng.normal(size=(20, k)) * rng.uniform(0.1, 5)
-        report = positive_normalized_check(L, probes)
-        assert report.is_simplex and report.violating_probe is None

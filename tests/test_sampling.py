@@ -120,14 +120,6 @@ class TestGridMin:
                 prev = val
                 r = 2 * r - 1  # midpoint refinement keeps grids nested
 
-    def test_pointwise_fallback(self):
-        def f(x):
-            # A strictly pointwise callable: one vector in, one float out.
-            return float(np.asarray(x).reshape(-1)[0] ** 2)
-
-        val, arg = grid_min(f, Box([-1.0], [1.0]), 3)
-        assert val == 0.0
-
 
 class TestRandomZFamily:
     def test_bordered_members_are_z(self):
