@@ -17,7 +17,6 @@ from gordankit import (
     Certificate,
     EngineConfig,
     FeasiblePoint,
-    Indeterminate,
     NonnegOrthant,
     Reals,
     aggregate,

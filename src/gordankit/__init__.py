@@ -65,7 +65,6 @@ from .quadratics import (
     sym_eigen,
 )
 from .sampling import (
-    Seed,
     grid_min,
     halton_points,
     random_convex_family,
@@ -76,7 +75,6 @@ from .sampling import (
     sphere_sample,
 )
 from .zmatrix import (
-    AggregationCheck,
     FalsifyReport,
     InfsupViolation,
     MemberZReport,
@@ -85,6 +83,5 @@ from .zmatrix import (
     bordered,
     infsup_falsify,
     is_z_matrix,
-    verify_aggregation_inequality,
     z_family_report,
 )

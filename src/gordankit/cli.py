@@ -18,12 +18,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .conjugate import brute_conjugate_sup, conjugate_quadratic, conjugate_sup_min
+from .conjugate import brute_conjugate_sup, conjugate_sup_min
 from .engine import (
     Certificate,
     EngineConfig,
     FeasiblePoint,
-    Indeterminate,
     decide_alternative,
     yuan_alternative,
     yuan_pencil_max,
@@ -41,10 +40,7 @@ from .qp import (
 from .quadratics import (
     ConeWeight,
     Domain,
-    FinitePointSet,
-    NonnegOrthant,
     QuadraticFamily,
-    QuadraticFunction,
     Reals,
     UnitSphere,
     aggregate,
@@ -395,6 +391,11 @@ def _run_qp(data: dict, cfg: EngineConfig):
             "diagnostics": {"stage": "slater-check"},
         }
     res = solve_levelset(p, cfg)
+    if res.status == "indeterminate":
+        return EXIT_INDETERMINATE, {
+            "outcome": "indeterminate",
+            "diagnostics": {"stage": "levelset", **res.diagnostics},
+        }
     result = {
         "outcome": res.status,
         "value": res.value if math.isfinite(res.value) else None,

@@ -6,11 +6,12 @@ feasible search needs an argmin from the certificate search.  A feasible
 point means the level is achievable; a certificate t means it is too low,
 by weak duality: inf_X (t_0 (q - gamma) + sum_j t_j g_j) <=
 max(q(x) - gamma, max_j g_j(x)) for every x in X.  ``cfg.alpha`` is
-ignored; the Slater check decides the constraints at level 0.  Optimality
-is certified by Fritz John multipliers (normalized y + sum u = 1), found by
-the engine's pairwise simplex search (``simplex_pairwise_max``) and
-verified through exact aggregate infima, and by KKT checks with sampled
-cross-validation.
+ignored; the Slater check decides the constraints at level 0.  Every bound
+rests on an exact infimum: an objective whose infimum over X is not exact
+gives the status ``indeterminate``.  Optimality is certified by Fritz John
+multipliers (normalized y + sum u = 1), solved from the stationarity system
+on the active set and verified through one exact aggregate infimum, and by
+KKT checks with sampled cross-validation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .engine import (
     _search_certificate,
     _search_feasible,
     decide_alternative,
-    simplex_pairwise_max,
 )
 from .errors import (
     DimensionMismatchError,
@@ -51,7 +51,7 @@ from .quadratics import (
     eval_quadratic,
     is_psd,
 )
-from .sampling import rng_stream, shared_simplex_lattice
+from .sampling import rng_stream
 from .zmatrix import bordered, is_z_matrix, z_family_report
 
 TOL_BISECT = 1e-8
@@ -128,7 +128,7 @@ class KktCertificate:
 
 @dataclass(frozen=True, eq=False)
 class LevelsetResult:
-    status: str  # "converged" | "infeasible" | "unbounded"
+    status: str  # "converged" | "infeasible" | "unbounded" | "indeterminate"
     value: float
     x0: Optional[np.ndarray]
     iterations: int
@@ -264,14 +264,30 @@ def _kkt_newton_polish(p: QpProblem, x0: np.ndarray, iters: int = 30):
 def solve_levelset(p: QpProblem, cfg: EngineConfig, tol_bisect: float = TOL_BISECT) -> LevelsetResult:
     """Bisection on the objective level, driven by the alternative engine.
 
-    The bracket starts at [inf_X q, q(feasible point)]; a feasible-point
-    outcome at level gamma shrinks the upper end to the witness value, a
-    certificate raises the lower end.  Ends when the bracket is below
-    ``tol_bisect`` or the level test lands in its tolerance band, then
-    polishes the incumbent with Newton steps on the active KKT system.
+    The exact infimum of the objective over X is read first.  When it is
+    not exact there is no valid lower end and the status is
+    ``indeterminate``; when its argmin satisfies the constraints, that
+    argmin is the optimum and no search runs.  Otherwise the bracket
+    starts at [inf_X q, q(feasible point)]; a feasible-point outcome at
+    level gamma shrinks the upper end to the witness value, a certificate
+    raises the lower end.  Ends when the bracket is below ``tol_bisect``
+    or the level test lands in its tolerance band, then polishes the
+    incumbent with Newton steps on the active KKT system.
     """
     diagnostics: dict = {}
     fam = p.constraints
+    lower_res = quadratic_infimum(p.objective, p.domain)
+    if not lower_res.exact:
+        diagnostics["reason"] = "objective infimum over the domain is not exact"
+        diagnostics["inexact_infimum"] = lower_res.value
+        return LevelsetResult("indeterminate", math.nan, None, 0, (math.nan, math.nan), diagnostics)
+    lower = lower_res.value
+    if lower_res.argmin is not None and fam.sup_at(lower_res.argmin) <= 0.0:
+        # The unconstrained minimizer is feasible: done.
+        x0 = lower_res.argmin
+        return LevelsetResult("converged", eval_quadratic(p.objective, x0), x0, 0,
+                              (lower, lower), diagnostics)
+
     x_f, v_f = _search_feasible(fam, p.domain, cfg)
     if v_f > cfg.tol_cert:
         _, inf_val, _, _ = _search_certificate(fam, p.domain, cfg)
@@ -281,19 +297,9 @@ def solve_levelset(p: QpProblem, cfg: EngineConfig, tol_bisect: float = TOL_BISE
 
     upper = eval_quadratic(p.objective, x_f)
     x_best = x_f.copy()
-    lower_res = quadratic_infimum(p.objective, p.domain)
     iterations = 0
     warm_t: Optional[np.ndarray] = None
-    if np.isfinite(lower_res.value):
-        lower = lower_res.value
-        if lower_res.argmin is not None:
-            g_at_min = fam.eval_members(lower_res.argmin.reshape(1, -1)).max()
-            if g_at_min <= 0.0:
-                # The unconstrained minimizer is feasible: done.
-                x0 = lower_res.argmin
-                return LevelsetResult("converged", eval_quadratic(p.objective, x0), x0, 0,
-                                      (lower, lower), diagnostics)
-    else:
+    if not np.isfinite(lower):
         gap = 1.0
         lower = None
         upper0 = upper
@@ -357,19 +363,17 @@ def solve_levelset(p: QpProblem, cfg: EngineConfig, tol_bisect: float = TOL_BISE
 
 
 def _attains_inf_gap(p: QpProblem, weights: np.ndarray, x0: np.ndarray) -> float:
-    """agg(x0) - inf_X(agg) for the weighted sum y*q + sum u_j q_j (>= 0)."""
+    """agg(x0) - inf_X(agg) for the weighted sum y*q + sum u_j q_j (>= 0).
+
+    Infinite unless the infimum is exact and finite: an inexact value may
+    lie above the infimum and would understate the gap.
+    """
     ext = QuadraticFamily((p.objective,) + p.constraints.members)
     agg = aggregate(ext, weights)
     inf_res = quadratic_infimum(agg, p.domain)
-    if not np.isfinite(inf_res.value):
+    if not (inf_res.exact and np.isfinite(inf_res.value)):
         return math.inf
     return eval_quadratic(agg, x0) - inf_res.value
-
-
-def _fj_residual(p: QpProblem, weights: np.ndarray, x0: np.ndarray, cons_at_x0: np.ndarray) -> float:
-    gap = _attains_inf_gap(p, weights, x0)
-    slack = abs(float(weights[1:] @ cons_at_x0))
-    return max(gap, slack)
 
 
 def _stationarity_matrix(p: QpProblem, x0: np.ndarray, act: np.ndarray) -> np.ndarray:
@@ -410,15 +414,13 @@ def _algebraic_candidates(p: QpProblem, x0: np.ndarray, act: np.ndarray):
 
 
 def fritz_john_search(p: QpProblem, x0, cfg: EngineConfig) -> FjSearchResult:
-    """Search normalized multipliers (y, u) certifying x0 by the Fritz John conditions.
+    """Normalized multipliers (y, u) certifying x0 by the Fritz John conditions.
 
-    The residual max(attains-its-infimum gap, |complementary slackness|)
-    is convex in the weights.  The best of the simplex lattice and of exact
-    stationarity solves on the active set is refined by
-    :func:`simplex_pairwise_max` on the negated residual.  The result is
-    verified by its gap (value at x0 minus the exact aggregate infimum) and
-    its slackness; when they do not verify, the best residuals are reported,
-    which signals that x0 is likely not optimal.
+    The candidates are the exact stationarity solves on the active set
+    (:func:`_algebraic_candidates`).  Each is verified by its gap (value at
+    x0 minus the exact aggregate infimum) and its slackness, and the one
+    with the smaller max(gap, slackness) is kept; when it does not verify,
+    its residuals are reported, which signals that x0 is likely not optimal.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != p.objective.dim:
@@ -427,28 +429,19 @@ def fritz_john_search(p: QpProblem, x0, cfg: EngineConfig) -> FjSearchResult:
     scale = 1.0 + float(np.abs(cons).max())
     if cons.max() > ACTIVE_TOL * scale:
         raise ValueError(f"x0 violates the constraints by {cons.max():.3e}")
-    m = p.constraints.size
     act = np.where(cons >= -ACTIVE_TOL * scale)[0]
 
-    def expand(w_small: np.ndarray) -> np.ndarray:
-        w = np.zeros(1 + m)
+    best = None
+    for w_small in _algebraic_candidates(p, x0, act):
+        w = np.zeros(1 + p.constraints.size)
         w[0] = w_small[0]
-        for pos, j in enumerate(act):
-            w[1 + j] = w_small[1 + pos]
-        return w
+        w[1 + act] = w_small[1:]
+        gap = _attains_inf_gap(p, w, x0)
+        slack = abs(float(w[1:] @ cons))
+        if best is None or max(gap, slack) < max(best[1], best[2]):
+            best = (w, gap, slack)
+    best_w, gap, slack = best
 
-    def residual(w_small: np.ndarray) -> float:
-        return _fj_residual(p, expand(w_small), x0, cons)
-
-    cands = list(shared_simplex_lattice(1 + len(act), min(cfg.simplex_grid_resolution, 16)))
-    cands.extend(_algebraic_candidates(p, x0, act))
-    values = [residual(w) for w in cands]
-    k = int(np.argmin(values))
-    w_small, _ = simplex_pairwise_max(lambda w: -residual(w), cands[k], -values[k])
-    best_w = expand(w_small)
-
-    gap = _attains_inf_gap(p, best_w, x0)
-    slack = abs(float(best_w[1:] @ cons))
     agg = aggregate(QuadraticFamily((p.objective,) + p.constraints.members), best_w)
     grad_norm = float(np.linalg.norm(agg.gradient(x0)))
     tol_fj = max(ATTAIN_TOL, 100.0 * cfg.tol_cert)

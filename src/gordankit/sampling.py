@@ -6,7 +6,6 @@ stream index, so every corpus is reproducible from a single 64-bit seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -19,19 +18,6 @@ LATTICE_BUDGET = 10**7
 GRID_BUDGET = 10**7
 
 _U64 = np.uint64
-
-
-@dataclass(frozen=True)
-class Seed:
-    """A 64-bit unsigned seed; equal seeds give identical streams."""
-
-    value: int
-
-    def __post_init__(self):
-        v = int(self.value)
-        if not 0 <= v < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "value", v)
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:

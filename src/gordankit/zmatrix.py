@@ -16,19 +16,21 @@ import numpy as np
 
 from .engine import EngineConfig, _search_feasible
 from .errors import DimensionMismatchError
+from .infimum import GRID_FALLBACK_BUDGET
 from .quadratics import (
     Box,
     Domain,
     FinitePointSet,
+    NonnegOrthant,
     QuadraticFamily,
     QuadraticFunction,
     SimplexWeight,
     SymMatrix,
+    UnitSphere,
     weight_vector,
 )
-from .sampling import rng_stream, shared_simplex_lattice
+from .sampling import grid_points, rng_stream, shared_simplex_lattice
 
-AGG_INEQ_SLACK = 1e-9
 FALSIFY_SAMPLES = 500
 
 
@@ -93,37 +95,6 @@ def aggregation_point(points: Sequence, t: SimplexWeight) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class AggregationCheck:
-    ok: bool
-    worst_gap: float
-    point: np.ndarray
-
-
-def verify_aggregation_inequality(fam: QuadraticFamily, points, t: SimplexWeight,
-                                  slack: float = AGG_INEQ_SLACK) -> AggregationCheck:
-    """Check q_j(x0) <= sum_i t_i q_j(x_i) + slack for every member.
-
-    Requires every bordered member to be a Z-matrix; the inequality chain
-    depends on nonpositive off-diagonals and nonpositive linear parts, so
-    other families are rejected as misuse.
-    """
-    report = z_family_report(fam)
-    if not report.family_is_z:
-        bad = [i for i, r in enumerate(report.members) if not r.is_z]
-        raise ValueError(f"members {bad} fail the bordered Z-matrix precondition")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != fam.dim:
-        raise DimensionMismatchError("point dimension does not match the family")
-    x0 = aggregation_point(pts, t)
-    tv = weight_vector(t)
-    lhs = fam.eval_members(x0.reshape(1, -1))[:, 0]
-    rhs = fam.eval_members(pts) @ tv
-    gaps = lhs - rhs
-    worst = float(gaps.max())
-    return AggregationCheck(bool(worst <= slack), worst, x0)
-
-
-@dataclass(frozen=True, eq=False)
 class InfsupViolation:
     m: int
     t: SimplexWeight
@@ -153,9 +124,7 @@ def _lhs_lower_bound(fam: QuadraticFamily, dom: Domain, cfg: EngineConfig):
         vals = fam.eval_members(dom.points).max(axis=0)
         return float(vals.min()), True
     if isinstance(dom, Box):
-        from .sampling import grid_points
-
-        res = max(3, int(round(200000 ** (1.0 / dom.dim))))
+        res = max(3, int(round(GRID_FALLBACK_BUDGET ** (1.0 / dom.dim))))
         pts = grid_points(dom, res)
         vals = fam.eval_members(pts).max(axis=0)
         radius = float(np.linalg.norm(np.maximum(np.abs(dom.lo), np.abs(dom.hi))))
@@ -182,8 +151,6 @@ def _sample_point_tuples(dom: Domain, dim: int, m: int, count: int, rng):
     if isinstance(dom, Box):
         return dom.lo + rng.random(size=(count, m, dim)) * (dom.hi - dom.lo)
     pts = rng.uniform(-3.0, 3.0, size=(count, m, dim))
-    from .quadratics import NonnegOrthant, UnitSphere
-
     if isinstance(dom, NonnegOrthant):
         return np.abs(pts)
     if isinstance(dom, UnitSphere):

@@ -97,6 +97,24 @@ class TestHappyPaths:
         assert results[1]["slater_point"] == results[0]["slater_point"]
         assert results[1]["value"] == results[0]["value"]
 
+    def test_qp_inexact_infimum_is_indeterminate(self, tmp_path, capsys):
+        # The unbounded Z objective 1/2 x^T (I - 0.1 11^T) x - 0.1 1^T x on the
+        # orthant at n = 16, past the exact enumeration cap.
+        n = 16
+        a = [[(1.0 if i == j else 0.0) - 0.1 for j in range(n)] for i in range(n)]
+        b = [-0.1] * n
+        path = _write(tmp_path, "qp16.json", {
+            "version": 1, "kind": "qp", "dimension": n,
+            "domain": {"type": "nonneg_orthant", "dim": n},
+            "objective": {"A": a, "b": b, "c": 0.0},
+            "family": [{"A": a, "b": b, "c": -1.0}],
+        })
+        code, out = _run(capsys, ["qp", path])
+        assert code == 2
+        body = json.loads(out)["result"]
+        assert body["outcome"] == "indeterminate"
+        assert body["diagnostics"]["stage"] == "levelset"
+
     def test_zcheck(self, tmp_path, capsys):
         path = _write(tmp_path, "z.json", {
             "version": 1, "kind": "zcheck", "dimension": 1,

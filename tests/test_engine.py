@@ -361,6 +361,23 @@ class TestFeasibleSearchWork:
         assert sup == fam.sup_at(x)
 
 
+class TestCoordinatePolish:
+    """Families whose feasible side lies far outside the multistart boxes:
+    only the exact 1-D minimax steps of the coordinate polish, which follow
+    an unbounded coordinate outwards, reach a point below zero."""
+
+    @pytest.mark.parametrize("fam, dom", [
+        (QuadraticFamily((QuadraticFunction(SymMatrix([[-1.0]]), [0.0], 1000.0),)), Reals(1)),
+        (QuadraticFamily(tuple(
+            QuadraticFunction(SymMatrix(np.diag([-1.0, 1.0])), [0.0, s], 1000.0) for s in (1.0, -1.0)
+        )), NonnegOrthant(2)),
+    ], ids=["reals-1d", "orthant-pair"])
+    def test_far_feasible_side_is_reached(self, cfg, fam, dom):
+        out = decide_alternative(fam, dom, cfg)
+        assert isinstance(out, FeasiblePoint)
+        assert out.margin == fam.sup_at(out.x) < 0.0
+
+
 class TestFinitePointSetEngine:
     def test_enumeration_is_exact(self, cfg):
         fam = _linear_family((1.0, 0.0), (-1.0, 0.0))

@@ -6,7 +6,6 @@ from gordankit import (
     Box,
     FinitePointSet,
     NonnegOrthant,
-    QuadraticFamily,
     QuadraticFunction,
     Reals,
     SymMatrix,

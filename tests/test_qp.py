@@ -14,9 +14,9 @@ from gordankit import (
     Reals,
     SymMatrix,
     UnsupportedDomainError,
-    eval_quadratic,
     fritz_john_search,
     kkt_check,
+    quadratic_infimum,
     sample_feasible,
     slater_check,
     solve_levelset,
@@ -46,6 +46,18 @@ def _p_linear_obj():
     return QpProblem(QuadraticFunction.linear([1.0]),
                      QuadraticFamily((QuadraticFunction(SymMatrix([[1.0]]), [0.0], -1.0),)),
                      Reals(1))
+
+
+def _p_unbounded_z_orthant(n=16):
+    # A = I - 0.1 * 11^T is a Z-matrix with d^T A d = -9.6 along d = 1, so
+    # the objective (and the QP) is unbounded below on the orthant.  Past the
+    # orthant enumeration cap its infimum is a projected-descent value, which
+    # is not exact.
+    a = SymMatrix(np.eye(n) - 0.1 * np.ones((n, n)))
+    b = -0.1 * np.ones(n)
+    return QpProblem(QuadraticFunction(a, b, 0.0),
+                     QuadraticFamily((QuadraticFunction(a, b, -1.0),)),
+                     NonnegOrthant(n))
 
 
 class TestQpProblem:
@@ -119,6 +131,23 @@ class TestSolveLevelset:
         res = solve_levelset(p, cfg)
         assert res.status == "unbounded"
         assert res.value == -np.inf
+
+    def test_feasible_unconstrained_minimizer_needs_no_search(self, cfg, monkeypatch):
+        import gordankit.qp as qp_mod
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("solve_levelset ran a feasible search")
+
+        monkeypatch.setattr(qp_mod, "_search_feasible", no_search)
+        res = solve_levelset(_p_ball(), cfg)
+        assert res.status == "converged" and res.iterations == 0
+        assert res.value == 0.0 and res.x0[0] == 0.0
+
+    def test_inexact_objective_infimum_is_indeterminate(self, cfg):
+        res = solve_levelset(_p_unbounded_z_orthant(), cfg)
+        assert res.status == "indeterminate"
+        assert np.isnan(res.value) and res.x0 is None and res.iterations == 0
+        assert "not exact" in res.diagnostics["reason"]
 
     def test_inexact_warm_certificate_is_not_reused(self, cfg):
         # Past the orthant enumeration cap, a Z-matrix objective with the tiny
@@ -214,6 +243,25 @@ class TestFritzJohnSearch:
     def test_rejects_infeasible_base_point(self, cfg):
         with pytest.raises(ValueError, match="violates"):
             fritz_john_search(_p_affine(), np.array([0.0]), cfg)
+
+    def test_one_active_constraint_is_solved_not_searched(self, cfg, monkeypatch):
+        import gordankit.engine as engine_mod
+        import gordankit.qp as qp_mod
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the Fritz John weights were searched")
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return quadratic_infimum(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "simplex_pairwise_max", no_search)
+        monkeypatch.setattr(qp_mod, "quadratic_infimum", counted)
+        res = fritz_john_search(_p_affine(), np.array([1.0]), cfg)
+        assert res.found and res.diagnostics["active_set"] == [0]
+        assert len(calls) <= 2
 
     def test_normalization_invariant(self, cfg):
         res = fritz_john_search(_p_affine(), np.array([1.0]), cfg)

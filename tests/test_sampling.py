@@ -6,7 +6,6 @@ import pytest
 from gordankit import (
     BudgetExceededError,
     Box,
-    Seed,
     grid_min,
     halton_points,
     random_convex_family,
@@ -37,13 +36,6 @@ class TestRng:
         again = rng_stream(0, 0).random(3)
         assert np.array_equal(first, again)
         assert first.shape == (3,) and np.all((0 <= first) & (first < 1))
-
-    def test_seed_type_validates(self):
-        assert Seed(5).value == 5
-        with pytest.raises(ValueError):
-            Seed(-1)
-        with pytest.raises(ValueError):
-            Seed(2**64)
 
 
 class TestSimplexLattice:

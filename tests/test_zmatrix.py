@@ -3,7 +3,6 @@ import pytest
 
 from gordankit import (
     Box,
-    EngineConfig,
     FinitePointSet,
     NonnegOrthant,
     QuadraticFamily,
@@ -16,7 +15,6 @@ from gordankit import (
     infsup_falsify,
     is_z_matrix,
     random_z_family,
-    verify_aggregation_inequality,
     z_family_report,
 )
 from gordankit.sampling import rng_stream
@@ -92,24 +90,34 @@ class TestAggregationPoint:
             assert aggregation_point(pts, SimplexWeight(t)).min() >= 0.0
 
 
+def _aggregation_gaps(fam, pts, t):
+    """The aggregation point x0 and q_j(x0) - sum_i t_i q_j(x_i) for every member."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    x0 = aggregation_point(pts, t)
+    lhs = fam.eval_members(x0.reshape(1, -1))[:, 0]
+    return x0, lhs - fam.eval_members(pts) @ t.t
+
+
 class TestVerifyAggregationInequality:
     def test_parabola_equality_case(self):
         fam = QuadraticFamily((QuadraticFunction(SymMatrix([[1.0]]), [0.0], 0.0),))
-        chk = verify_aggregation_inequality(fam, [[-1.0], [1.0]], SimplexWeight([0.5, 0.5]))
-        assert chk.ok
-        assert chk.worst_gap == pytest.approx(0.0, abs=1e-12)
+        _, gaps = _aggregation_gaps(fam, [[-1.0], [1.0]], SimplexWeight([0.5, 0.5]))
+        assert gaps.max() == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_slope_strict_case(self):
         fam = QuadraticFamily((QuadraticFunction.linear([-1.0]),))
-        chk = verify_aggregation_inequality(fam, [[1.0], [4.0]], SimplexWeight([0.5, 0.5]))
-        assert chk.ok
-        assert chk.point[0] == pytest.approx(np.sqrt(8.5), abs=1e-12)
-        assert -chk.point[0] <= -2.5 + 1e-12
+        x0, gaps = _aggregation_gaps(fam, [[1.0], [4.0]], SimplexWeight([0.5, 0.5]))
+        assert gaps.max() <= 0.0
+        assert x0[0] == pytest.approx(np.sqrt(8.5), abs=1e-12)
+        assert -x0[0] <= -2.5 + 1e-12
 
-    def test_rejects_non_z_family(self):
+    def test_fails_for_non_z_family(self):
+        # A positive slope breaks the bordered Z condition: x0 = 1 for the
+        # points -1 and 1, so q(x0) = 1 exceeds the average value 0.
         fam = QuadraticFamily((QuadraticFunction.linear([1.0]),))
-        with pytest.raises(ValueError, match="Z-matrix"):
-            verify_aggregation_inequality(fam, [[1.0]], SimplexWeight([1.0]))
+        assert not z_family_report(fam).family_is_z
+        _, gaps = _aggregation_gaps(fam, [[-1.0], [1.0]], SimplexWeight([0.5, 0.5]))
+        assert gaps.max() == pytest.approx(1.0, abs=1e-12)
 
     def test_thousand_random_z_families(self):
         rng = rng_stream(10, 0)
@@ -121,11 +129,11 @@ class TestVerifyAggregationInequality:
             fam = random_z_family(n, m, int(rng.integers(0, 2**63)))
             pts = rng.uniform(-3.0, 3.0, size=(k, n))
             t = SimplexWeight(rng.dirichlet(np.ones(k)))
-            chk = verify_aggregation_inequality(fam, pts, t)
-            assert chk.ok, (i, chk.worst_gap)
-            worst = max(worst, chk.worst_gap)
+            x0, gaps = _aggregation_gaps(fam, pts, t)
+            assert gaps.max() <= 1e-9, (i, gaps.max())
+            worst = max(worst, gaps.max())
             # Coordinatewise dominance |sum_j t_j x^(j)| <= x0 (Cauchy-Schwarz).
-            assert np.all(np.abs(t.t @ pts) <= chk.point + 1e-12)
+            assert np.all(np.abs(t.t @ pts) <= x0 + 1e-12)
         assert worst <= 1e-9
 
 
